@@ -171,11 +171,12 @@ func measureScaleBench(t *testing.T) scaleBenchReport {
 	}
 
 	// The four fits run in ascending order of their true peaks — L-HP
-	// sharded (~0.6 GiB), L-HP in-memory (~1.4 GiB), conformity sharded
-	// (~9 GiB: the retained pair-history computer dominates), conformity
-	// in-memory (~13 GiB) — because obs.PeakRSSBytes is a process-lifetime
-	// high-water mark: a reading is that fit's own peak only if the fit
-	// climbed above everything before it, which requirePeakAbove asserts.
+	// sharded (~0.6 GiB), L-HP in-memory (~1.1 GiB), conformity sharded
+	// (~3.2 GiB: the retained pair store, about 1 GiB on the warm-start
+	// forest, dominates), conformity in-memory (~4.1 GiB) — because
+	// obs.PeakRSSBytes is a process-lifetime high-water mark: a reading is
+	// that fit's own peak only if the fit climbed above everything before
+	// it, which requirePeakAbove asserts.
 	shardedCfg := scaleBenchFitConfig()
 	shardedCfg.ShardEvents = scaleBenchShardEvents
 	sharded, err := core.FitSharded(context.Background(), rd, shardedCfg)

@@ -156,17 +156,6 @@ func (f *Forest) TreeID(i int) int { return int(f.treeID[i]) }
 // SameTree reports whether a and b belong to the same cascade.
 func (f *Forest) SameTree(a, b int) bool { return f.treeID[a] == f.treeID[b] }
 
-// Tree returns the nodes of tree id in index order.
-func (f *Forest) Tree(id int) []int {
-	var out []int
-	for i := range f.parents {
-		if int(f.treeID[i]) == id {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ancestorAt lifts node i up by k generations (-1 if lifted past a root).
 func (f *Forest) ancestorAt(i int, k int) int32 {
 	cur := int32(i)

@@ -70,8 +70,14 @@ func TestBasicAccessors(t *testing.T) {
 	if !f.SameTree(3, 6) || f.SameTree(3, 7) {
 		t.Error("SameTree wrong")
 	}
-	if got := f.Tree(f.TreeID(5)); len(got) != 2 || got[0] != 5 || got[1] != 7 {
-		t.Errorf("Tree = %v", got)
+	var tree []int
+	for i := 0; i < f.Len(); i++ {
+		if f.TreeID(i) == f.TreeID(5) {
+			tree = append(tree, i)
+		}
+	}
+	if len(tree) != 2 || tree[0] != 5 || tree[1] != 7 {
+		t.Errorf("tree of node 5 = %v", tree)
 	}
 	ps := f.Parents()
 	ps[0] = 7

@@ -162,3 +162,23 @@ func TestPairBudget(t *testing.T) {
 		t.Fatal("a sufficient budget must not change results")
 	}
 }
+
+// TestFinalizeRejectsOutOfRangeUser: a user id outside [0, m), as a child or
+// only as a parent, is an input error from the build rather than a panic.
+func TestFinalizeRejectsOutOfRangeUser(t *testing.T) {
+	f, err := branching.FromParents32([]int32{-1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, users := range [][2]int{{0, 2}, {2, 0}, {-1, 1}} {
+		acc := NewAccumulator(2, Options{})
+		for k, u := range users {
+			if err := acc.Append(float64(k), u, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := acc.Finalize(f); err == nil {
+			t.Errorf("users %v over 2 users: Finalize succeeded, want an error", users)
+		}
+	}
+}

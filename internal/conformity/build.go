@@ -1,0 +1,356 @@
+package conformity
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+
+	"chassis/internal/branching"
+	"chassis/internal/stats"
+)
+
+// fromColumns is the shared build entry: both New and Accumulator.Finalize
+// land here, which is what makes the streamed computer bit-identical to the
+// in-memory one. It runs in linear passes over flat arrays:
+//
+//  1. Collect: the informational samples (parent→child pairs, in index
+//     order) and the normative contributions (per cascade, then in stable
+//     time order).
+//  2. Index: two stable counting passes sort every sample by (receiver,
+//     source), keeping each pair's samples in stream order; one scan then
+//     numbers the distinct pairs into the CSR pair index. MaxActivePairs is
+//     checked here, before any series column exists.
+//  3. Fill: each pair's exactly sized slots are written in stream order,
+//     pair after pair, accumulating the prefix moments as they go.
+func fromColumns(m int, times []float64, users []int32, polar []float64, forest *branching.Forest, opts Options) (*Computer, error) {
+	if forest == nil {
+		return nil, errors.New("conformity: nil forest")
+	}
+	if forest.Len() != len(times) {
+		return nil, fmt.Errorf("conformity: forest covers %d nodes, sequence has %d", forest.Len(), len(times))
+	}
+	for k, u := range users {
+		if u < 0 || int(u) >= m {
+			return nil, fmt.Errorf("conformity: event %d has user %d outside [0, %d)", k, u, m)
+		}
+	}
+	opts.fill()
+	b := &builder{m: m, times: times, users: users, polar: polar, forest: forest, opts: opts}
+	events := make([]int32, len(times))
+	for k := range events {
+		events[k] = int32(k)
+	}
+	c := &Computer{}
+	c.offOff, c.offTimes = b.offspring(events)
+	b.collectInformational()
+	if err := b.collectNormative(events); err != nil {
+		return nil, err
+	}
+	var err error
+	if c.rowOff, c.srcs, err = b.index(); err != nil {
+		return nil, err
+	}
+	c.info, c.norm = b.fill()
+	return c, nil
+}
+
+// builder holds one build's inputs and the transient state its passes hand
+// to each other. Sample r is informational sample r for r < len(info), and
+// normative contribution r-len(info) otherwise.
+type builder struct {
+	m      int
+	times  []float64
+	users  []int32
+	polar  []float64
+	forest *branching.Forest
+	opts   Options
+
+	info []int32            // informational samples: child activity, in index order
+	norm []normContribution // normative contributions, in enumeration order
+	runs []normRun          // norm as runs of one later activity, in stable time order
+	// byPair holds every sample sorted by (receiver, source); within a pair
+	// the informational samples come first, each kind in stream order.
+	byPair []int32
+	// infoCnt[p] and normCnt[p] count pair p's samples of each kind.
+	infoCnt, normCnt []int32
+}
+
+// normContribution is one (x, y) sample destined for a pair's normative
+// series, timestamped by the later activity.
+type normContribution struct {
+	e1  int32 // earlier activity (by the source j)
+	e2  int32 // later activity (by the receiver i)
+	lca int32 // -1 for Scenario 1 (same path)
+}
+
+// normRun is a run of contributions [lo, hi) sharing their later activity,
+// hence their time.
+type normRun struct{ lo, hi int32 }
+
+// sortByKey writes the items of in into out, stably sorted by key, which
+// maps an item into [0, buckets); it returns the offsets of each key's run
+// in out. A counting sort: two linear passes plus one over the buckets.
+func sortByKey(in, out []int32, buckets int, key func(int32) int32) (off []int32) {
+	off = make([]int32, buckets+1)
+	for _, r := range in {
+		off[key(r)+1]++
+	}
+	for k := 0; k < buckets; k++ {
+		off[k+1] += off[k]
+	}
+	next := append([]int32(nil), off[:buckets]...)
+	for _, r := range in {
+		k := key(r)
+		out[next[k]] = r
+		next[k]++
+	}
+	return off
+}
+
+// offspring groups the offspring activity times by user (CSR), each user's
+// times sorted. Immigrants sort into a last, dropped bucket.
+func (b *builder) offspring(events []int32) (off []int32, ts []float64) {
+	byUser := make([]int32, len(events))
+	off = sortByKey(events, byUser, b.m+1, func(k int32) int32 {
+		if b.forest.IsImmigrant(int(k)) {
+			return int32(b.m)
+		}
+		return b.users[k]
+	})
+	ts = make([]float64, off[b.m])
+	for x := range ts {
+		ts[x] = b.times[byUser[x]]
+	}
+	// Activity order is chronological, but guard against ties reordering.
+	for i := 0; i < b.m; i++ {
+		sort.Float64s(ts[off[i]:off[i+1]])
+	}
+	return off[:b.m+1], ts
+}
+
+// collectInformational lists the parent-child interactions between distinct
+// users (or any users, with IncludeSelf) in chronological (index) order.
+func (b *builder) collectInformational() {
+	for k := range b.times {
+		parent := b.forest.Parent(k)
+		if parent < 0 {
+			continue
+		}
+		if b.users[k] == b.users[parent] && !b.opts.IncludeSelf {
+			continue
+		}
+		b.info = append(b.info, int32(k))
+	}
+}
+
+// collectNormative enumerates, per cascade, ordered activity pairs of
+// distinct users, splits them into Scenario 1 (ancestor) and Scenario 2
+// (cross-path, recalibrated through the LCA), and orders the contributions
+// by time, stably — so fill streams each pair's normative series
+// chronologically, exactly the "scanning all information cascades up to
+// time t" procedure of Section 5.2. Sample numbers are int32, so it fails
+// once the samples of both kinds outnumber math.MaxInt32.
+func (b *builder) collectNormative(events []int32) error {
+	f := b.forest
+	// Group the activities by cascade in linear time; each tree's nodes stay
+	// in index order.
+	members := make([]int32, len(events))
+	treeOff := sortByKey(events, members, f.NumTrees(), func(k int32) int32 { return int32(f.TreeID(int(k))) })
+
+	// anc[a] == e2+1 marks a as a proper ancestor of the later activity e2
+	// being enumerated: one walk up per e2 answers every IsAncestor(e1, e2).
+	anc := make([]int32, len(b.times))
+	for id := 0; id < f.NumTrees(); id++ {
+		nodes := members[treeOff[id]:treeOff[id+1]]
+		n := len(nodes)
+		if n < 2 {
+			continue
+		}
+		total := n * (n - 1) / 2
+		stride := 1
+		if total > b.opts.MaxTreePairs {
+			stride = (total + b.opts.MaxTreePairs - 1) / b.opts.MaxTreePairs
+		}
+		count := 0
+		for bi := 1; bi < n; bi++ {
+			e2 := int(nodes[bi])
+			stamp := int32(e2) + 1
+			for a := f.Parent(e2); a >= 0; a = f.Parent(int(a)) {
+				anc[a] = stamp
+			}
+			lo := len(b.norm)
+			for ai := 0; ai < bi; ai++ {
+				e1 := int(nodes[ai])
+				if b.users[e1] == b.users[e2] && !b.opts.IncludeSelf {
+					continue
+				}
+				if b.times[e1] >= b.times[e2] {
+					continue
+				}
+				isAncestor := anc[e1] == stamp
+				if !isAncestor && b.opts.DisableLCA {
+					continue
+				}
+				nc := normContribution{e1: int32(e1), e2: int32(e2), lca: -1}
+				if !isAncestor {
+					// Scenario 2 pairs are the ones subsampled under the cap;
+					// ancestor pairs always survive (they carry the direct
+					// chain-of-influence signal).
+					count++
+					if stride > 1 && count%stride != 0 {
+						continue
+					}
+					nc.lca = int32(f.LCA(e1, e2))
+				}
+				b.norm = append(b.norm, nc)
+			}
+			if hi := len(b.norm); hi > lo {
+				b.runs = append(b.runs, normRun{lo: int32(lo), hi: int32(hi)})
+			}
+			if ns := len(b.info) + len(b.norm); ns > math.MaxInt32 {
+				return fmt.Errorf("conformity: %d pair samples exceed the 2^31-1 limit", ns)
+			}
+		}
+	}
+	// A stable sort of the contributions by time is a sort of the runs by
+	// (time, position): each run shares one time and is contiguous in
+	// enumeration order.
+	slices.SortFunc(b.runs, func(x, y normRun) int {
+		if c := cmp.Compare(b.times[b.norm[x.lo].e2], b.times[b.norm[y.lo].e2]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.lo, y.lo)
+	})
+	return nil
+}
+
+// receiver returns sample r's receiver: the child, or the later activity's
+// user.
+func (b *builder) receiver(r int32) int32 {
+	if int(r) < len(b.info) {
+		return b.users[b.info[r]]
+	}
+	return b.users[b.norm[int(r)-len(b.info)].e2]
+}
+
+// source returns sample r's source: the parent, or the earlier activity's
+// user.
+func (b *builder) source(r int32) int32 {
+	if int(r) < len(b.info) {
+		return b.users[b.forest.Parent(int(b.info[r]))]
+	}
+	return b.users[b.norm[int(r)-len(b.info)].e1]
+}
+
+// index sorts the samples into b.byPair by (receiver, source): a stable
+// counting pass by source, then one by receiver (an LSD radix sort over the
+// two user keys) of the samples in stream order — informational ones
+// first — so each pair's samples keep that order. One scan over the sorted
+// samples then numbers the distinct pairs into the CSR index and counts
+// each pair's samples, failing with *PairBudgetError as soon as the pairs
+// outnumber MaxActivePairs, before any series column is allocated.
+func (b *builder) index() (rowOff, srcs []int32, err error) {
+	ns := len(b.info) + len(b.norm)
+	in := make([]int32, 0, ns)
+	for r := range b.info {
+		in = append(in, int32(r))
+	}
+	for _, run := range b.runs {
+		for c := run.lo; c < run.hi; c++ {
+			in = append(in, int32(len(b.info))+c)
+		}
+	}
+	out := make([]int32, ns)
+	sortByKey(in, out, b.m, b.source)
+	sortByKey(out, in, b.m, b.receiver)
+	b.byPair = in
+
+	rowOff = make([]int32, b.m+1)
+	budget := b.opts.MaxActivePairs
+	prevI, prevJ := int32(-1), int32(-1)
+	for _, r := range b.byPair {
+		i, j := b.receiver(r), b.source(r)
+		if i != prevI || j != prevJ {
+			if budget > 0 && len(srcs) == budget {
+				return nil, nil, &PairBudgetError{Budget: budget}
+			}
+			srcs = append(srcs, j)
+			b.infoCnt = append(b.infoCnt, 0)
+			b.normCnt = append(b.normCnt, 0)
+			rowOff[i+1]++
+			prevI, prevJ = i, j
+		}
+		if int(r) < len(b.info) {
+			b.infoCnt[len(srcs)-1]++
+		} else {
+			b.normCnt[len(srcs)-1]++
+		}
+	}
+	for i := 0; i < b.m; i++ {
+		rowOff[i+1] += rowOff[i]
+	}
+	return rowOff, slices.Clone(srcs), nil
+}
+
+// fill allocates both series stores exactly and writes them pair after
+// pair, each pair's slots in stream order. A Scenario-2 sample depends only
+// on its own pair's earlier contributions, so the side accumulators live
+// for one pair at a time.
+func (b *builder) fill() (info, norm seriesStore) {
+	info, norm = newSeriesStore(b.infoCnt), newSeriesStore(b.normCnt)
+	samples := b.byPair
+	for p := range b.infoCnt {
+		w := info.writer(p)
+		for _, r := range samples[:b.infoCnt[p]] {
+			k := b.info[r]
+			w.push(b.times[k], b.polar[b.forest.Parent(int(k))], b.polar[k])
+		}
+		samples = samples[b.infoCnt[p]:]
+
+		w = norm.writer(p)
+		// Source-side and receiver-side polarity against the LCA's, from
+		// which the recalibrated correlations are drawn.
+		var qj, qi stats.PearsonAcc
+		for _, r := range samples[:b.normCnt[p]] {
+			nc := b.norm[int(r)-len(b.info)]
+			t, x, y := b.times[nc.e2], b.polar[nc.e1], b.polar[nc.e2]
+			if nc.lca < 0 {
+				// Scenario 1: direct polarity pair.
+				w.push(t, x, y)
+				continue
+			}
+			// Scenario 2: recalibrate through the LCA.
+			lcaPol := b.polar[nc.lca]
+			qj.Add(x, lcaPol)
+			qi.Add(y, lcaPol)
+			w.push(t, corrOrSeed(&qj, x, lcaPol), corrOrSeed(&qi, y, lcaPol))
+		}
+		samples = samples[b.normCnt[p]:]
+	}
+	return info, norm
+}
+
+// corrOrSeed reads a Scenario-2 side accumulator: the Pearson correlation
+// once it holds two or more samples, and before that the sign agreement
+// sign(x·y) of the single contribution just added. Pearson is undefined for
+// one sample — PearsonAcc.Corr() returns 0 there, and feeding that 0 into
+// the series would permanently void every pair's FIRST cross-path
+// contribution as a (0, 0) sample diluting all later prefix correlations.
+// The sign-agreement seed is the same small-evidence fallback corrAt itself
+// uses, so a pair's normative stance is meaningful from its first
+// recalibrated sample on. (With ≥ 2 samples a zero-variance side still
+// reads 0 from Corr() — "no measurable stance" — unchanged.)
+func corrOrSeed(a *stats.PearsonAcc, x, y float64) float64 {
+	if a.N() >= 2 {
+		return a.Corr()
+	}
+	if p := x * y; p > 0 {
+		return 1
+	} else if p < 0 {
+		return -1
+	}
+	return 0
+}

@@ -27,10 +27,9 @@ package conformity
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"chassis/internal/branching"
-	"chassis/internal/stats"
 	"chassis/internal/timeline"
 )
 
@@ -44,9 +43,11 @@ type Options struct {
 	// MaxActivePairs bounds how many ordered (receiver, source) pairs a
 	// build may materialize — the working-set knob for out-of-core fits,
 	// where per-pair series are the only conformity state that grows with
-	// the corpus rather than with shard size. Exceeding the budget aborts
-	// the build with *PairBudgetError instead of silently dropping pairs
-	// (a dropped pair would change fitted parameters). 0 means unlimited.
+	// the corpus rather than with shard size. The build indexes the
+	// distinct pairs before it allocates any series column, and fails with
+	// *PairBudgetError exactly when their number exceeds the budget, instead
+	// of silently dropping pairs (a dropped pair would change fitted
+	// parameters). 0 means unlimited.
 	MaxActivePairs int
 	// IncludeSelf also tracks a user's conformity to themselves. The paper
 	// pairs distinct individuals, so the default is false.
@@ -83,31 +84,26 @@ func (e *OutOfOrderError) Error() string {
 	return fmt.Sprintf("conformity: event %d at t=%g precedes the previous event at t=%g", e.Index, e.Time, e.Prev)
 }
 
-type pairKey struct{ i, j int32 }
-
 // PairKey identifies an ordered (receiver, source) user pair with recorded
 // interactions.
 type PairKey struct{ Receiver, Source int }
 
-type pairData struct {
-	info *series // parent-child interactions j→i: (p_parent, p_child)
-	norm *series // cascade-level contributions: (x_j, y_i)
-}
-
 // Computer answers conformity queries for one (sequence, forest) pair. It
-// holds only the event columns (times, users, polarities) — never Activity
-// structs — so both the in-memory and the streamed build share it.
+// keeps no event columns, only per-user and per-pair prefix structures in
+// compressed sparse row (CSR) form: one offsets array over users or pairs
+// plus flat, exactly sized columns.
 type Computer struct {
-	m      int
-	times  []float64
-	polar  []float64
-	users  []int32
-	forest *branching.Forest
-	opts   Options
-	pairs  map[pairKey]*pairData
-	// offspringTimes[i] holds the (sorted) times of user i's offspring
-	// activities: the denominator ℕᵢ(t) of Eq. 5.1.
-	offspringTimes [][]float64
+	// User i's offspring activity times, sorted, are
+	// offTimes[offOff[i]:offOff[i+1]]: the denominator ℕᵢ(t) of Eq. 5.1.
+	offOff   []int32
+	offTimes []float64
+	// The pair index: receiver i's sources, ascending, are
+	// srcs[rowOff[i]:rowOff[i+1]], and a pair's position in srcs indexes
+	// both series stores.
+	rowOff []int32
+	srcs   []int32
+	info   seriesStore // parent-child interactions j→i: (p_parent, p_child)
+	norm   seriesStore // cascade-level contributions: (x_j, y_i)
 }
 
 // New extracts conformity structures. Activities must carry polarities
@@ -127,36 +123,6 @@ func New(seq *timeline.Sequence, forest *branching.Forest, opts Options) (*Compu
 		users[k] = int32(a.User)
 	}
 	return fromColumns(seq.M, times, users, polar, forest, opts)
-}
-
-// fromColumns is the shared build entry: both New and Accumulator.Finalize
-// land here, which is what makes the streamed computer bit-identical to the
-// in-memory one.
-func fromColumns(m int, times []float64, users []int32, polar []float64, forest *branching.Forest, opts Options) (*Computer, error) {
-	if forest == nil {
-		return nil, errors.New("conformity: nil forest")
-	}
-	if forest.Len() != len(times) {
-		return nil, fmt.Errorf("conformity: forest covers %d nodes, sequence has %d", forest.Len(), len(times))
-	}
-	opts.fill()
-	c := &Computer{
-		m:              m,
-		times:          times,
-		polar:          polar,
-		users:          users,
-		forest:         forest,
-		opts:           opts,
-		pairs:          make(map[pairKey]*pairData),
-		offspringTimes: make([][]float64, m),
-	}
-	if err := c.buildInformational(); err != nil {
-		return nil, err
-	}
-	if err := c.buildNormative(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Accumulator buffers a chronological stream of (time, user, polarity)
@@ -203,181 +169,28 @@ func (a *Accumulator) Finalize(forest *branching.Forest) (*Computer, error) {
 	return fromColumns(a.m, a.times, a.users, a.polar, forest, a.opts)
 }
 
-// pair returns the series pair for (i, j), creating it when create is set.
-// Creation enforces Options.MaxActivePairs: the budget trips exactly when a
-// NEW pair would exceed it, identically in both construction paths.
-func (c *Computer) pair(i, j int32, create bool) (*pairData, error) {
-	k := pairKey{i, j}
-	p, ok := c.pairs[k]
-	if !ok && create {
-		if c.opts.MaxActivePairs > 0 && len(c.pairs) >= c.opts.MaxActivePairs {
-			return nil, &PairBudgetError{Budget: c.opts.MaxActivePairs}
-		}
-		p = &pairData{info: newSeries(), norm: newSeries()}
-		c.pairs[k] = p
-	}
-	return p, nil
-}
-
-// query is the read-only pair lookup used by the point-in-time queries.
-func (c *Computer) query(i, j int) *pairData {
-	return c.pairs[pairKey{int32(i), int32(j)}]
-}
-
-// buildInformational walks parent-child pairs in chronological (index)
-// order, feeding both the per-pair interaction series and the per-user
-// offspring counters.
-func (c *Computer) buildInformational() error {
-	for k := range c.times {
-		parent := c.forest.Parent(k)
-		if parent == timeline.NoParent {
-			continue
-		}
-		i := c.users[k]
-		c.offspringTimes[i] = append(c.offspringTimes[i], c.times[k])
-		j := c.users[parent]
-		if i == j && !c.opts.IncludeSelf {
-			continue
-		}
-		p, err := c.pair(i, j, true)
-		if err != nil {
-			return err
-		}
-		p.info.add(c.times[k], c.polar[parent], c.polar[k])
-	}
-	// Activity order is chronological, but guard against ties reordering.
-	for i := range c.offspringTimes {
-		sort.Float64s(c.offspringTimes[i])
-	}
-	return nil
-}
-
-// normContribution is one (x, y) sample destined for a pair's normative
-// series, timestamped by the later activity.
-type normContribution struct {
-	t    float64
-	i, j int32
-	e1   int32 // earlier activity (by j)
-	e2   int32 // later activity (by i)
-	lca  int32 // -1 for Scenario 1 (same path)
-}
-
-// corrOrSeed reads a Scenario-2 side accumulator: the Pearson correlation
-// once it holds two or more samples, and before that the sign agreement
-// sign(x·y) of the single contribution just added. Pearson is undefined for
-// one sample — PearsonAcc.Corr() returns 0 there, and feeding that 0 into
-// the series would permanently void every pair's FIRST cross-path
-// contribution as a (0, 0) sample diluting all later prefix correlations.
-// The sign-agreement seed is the same small-evidence fallback corrAt itself
-// uses, so a pair's normative stance is meaningful from its first
-// recalibrated sample on. (With ≥ 2 samples a zero-variance side still
-// reads 0 from Corr() — "no measurable stance" — unchanged.)
-func corrOrSeed(a *stats.PearsonAcc, x, y float64) float64 {
-	if a.N() >= 2 {
-		return a.Corr()
-	}
-	if p := x * y; p > 0 {
-		return 1
-	} else if p < 0 {
+// find returns the index of pair (i, j) in the pair index — one binary
+// search in receiver i's row — or -1 when the pair has no samples.
+func (c *Computer) find(i, j int) int {
+	if i < 0 || i >= len(c.rowOff)-1 || j < 0 || j >= len(c.rowOff)-1 {
 		return -1
 	}
-	return 0
+	lo := int(c.rowOff[i])
+	k, ok := slices.BinarySearch(c.srcs[lo:c.rowOff[i+1]], int32(j))
+	if !ok {
+		return -1
+	}
+	return lo + k
 }
 
-// buildNormative enumerates, per cascade, ordered activity pairs of
-// distinct users, splits them into Scenario 1 (ancestor) and Scenario 2
-// (cross-path, recalibrated through the LCA), sorts all contributions
-// globally by time, and streams them through running accumulators so each
-// pair's normative series grows chronologically — exactly the "scanning all
-// information cascades up to time t" procedure of Section 5.2.
-func (c *Computer) buildNormative() error {
-	var contribs []normContribution
-	for treeID := 0; treeID < c.forest.NumTrees(); treeID++ {
-		nodes := c.forest.Tree(treeID)
-		n := len(nodes)
-		if n < 2 {
-			continue
-		}
-		total := n * (n - 1) / 2
-		stride := 1
-		if total > c.opts.MaxTreePairs {
-			stride = (total + c.opts.MaxTreePairs - 1) / c.opts.MaxTreePairs
-		}
-		count := 0
-		for b := 1; b < n; b++ {
-			e2 := nodes[b]
-			for a := 0; a < b; a++ {
-				e1 := nodes[a]
-				if c.users[e1] == c.users[e2] && !c.opts.IncludeSelf {
-					continue
-				}
-				if c.times[e1] >= c.times[e2] {
-					continue
-				}
-				isAncestor := c.forest.IsAncestor(e1, e2)
-				if !isAncestor && c.opts.DisableLCA {
-					continue
-				}
-				if !isAncestor {
-					// Scenario 2 pairs are the ones subsampled under the cap;
-					// ancestor pairs always survive (they carry the direct
-					// chain-of-influence signal).
-					count++
-					if stride > 1 && count%stride != 0 {
-						continue
-					}
-				}
-				nc := normContribution{
-					t: c.times[e2], i: c.users[e2], j: c.users[e1],
-					e1: int32(e1), e2: int32(e2), lca: -1,
-				}
-				if !isAncestor {
-					nc.lca = int32(c.forest.LCA(e1, e2))
-				}
-				contribs = append(contribs, nc)
-			}
-		}
-	}
-	sort.SliceStable(contribs, func(a, b int) bool { return contribs[a].t < contribs[b].t })
-
-	// Scenario-2 running accumulators: polarity-vs-LCA-polarity streams per
-	// ordered pair, from which the recalibrated correlations are drawn.
-	type accKey struct{ i, j int32 }
-	qj := make(map[accKey]*stats.PearsonAcc) // source-side vs LCA
-	qi := make(map[accKey]*stats.PearsonAcc) // receiver-side vs LCA
-	getAcc := func(m map[accKey]*stats.PearsonAcc, k accKey) *stats.PearsonAcc {
-		a, ok := m[k]
-		if !ok {
-			a = &stats.PearsonAcc{}
-			m[k] = a
-		}
-		return a
-	}
-	for _, nc := range contribs {
-		p, err := c.pair(nc.i, nc.j, true)
-		if err != nil {
-			return err
-		}
-		if nc.lca < 0 {
-			// Scenario 1: direct polarity pair.
-			p.norm.add(nc.t, c.polar[nc.e1], c.polar[nc.e2])
-			continue
-		}
-		// Scenario 2: recalibrate through the LCA.
-		k := accKey{nc.i, nc.j}
-		lcaPol := c.polar[nc.lca]
-		aj := getAcc(qj, k)
-		ai := getAcc(qi, k)
-		aj.Add(c.polar[nc.e1], lcaPol)
-		ai.Add(c.polar[nc.e2], lcaPol)
-		p.norm.add(nc.t, corrOrSeed(aj, c.polar[nc.e1], lcaPol), corrOrSeed(ai, c.polar[nc.e2], lcaPol))
-	}
-	return nil
+// offspring returns user i's sorted offspring activity times.
+func (c *Computer) offspring(i int) []float64 {
+	return c.offTimes[c.offOff[i]:c.offOff[i+1]]
 }
 
-// offspringCountAt returns ℕᵢ(t): user i's offspring activities up to t.
-func (c *Computer) offspringCountAt(i int, t float64) int {
-	ts := c.offspringTimes[i]
+// countUpTo returns how many of the sorted times ts are ≤ t: ℕᵢ(t) over a
+// user's offspring times.
+func countUpTo(ts []float64, t float64) int {
 	lo, hi := 0, len(ts)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -390,6 +203,21 @@ func (c *Computer) offspringCountAt(i int, t float64) int {
 	return lo
 }
 
+// influenceDegree returns Φᵢⱼ(t) and ∂Φᵢⱼ(t)/∂β from the pair's
+// interaction series s and the receiver's offspring times off.
+func influenceDegree(off []float64, s series, t, beta float64) (phi, dBeta float64) {
+	if s.len() == 0 {
+		return 0, 0
+	}
+	n := countUpTo(off, t)
+	if n == 0 {
+		return 0, 0
+	}
+	sum, dsum := s.decaySumAt(t, beta)
+	inv := 1 / float64(n)
+	return sum * inv, dsum * inv
+}
+
 // InfluenceDegree returns Φᵢⱼ(t) of Eq. 5.1 under decay rate β: the
 // normalized, exponentially decayed count of j→i parent-child interactions.
 // Always in [0, 1].
@@ -400,38 +228,38 @@ func (c *Computer) InfluenceDegree(i, j int, t, beta float64) float64 {
 
 // InfluenceDegreeGrad returns Φᵢⱼ(t) and ∂Φᵢⱼ(t)/∂β.
 func (c *Computer) InfluenceDegreeGrad(i, j int, t, beta float64) (phi, dBeta float64) {
-	p := c.query(i, j)
-	if p == nil || p.info.len() == 0 {
+	p := c.find(i, j)
+	if p < 0 {
 		return 0, 0
 	}
-	n := c.offspringCountAt(i, t)
-	if n == 0 {
-		return 0, 0
-	}
-	sum, dsum := p.info.decaySumAt(t, beta)
-	inv := 1 / float64(n)
-	return sum * inv, dsum * inv
+	return influenceDegree(c.offspring(i), c.info.at(p), t, beta)
 }
 
 // ContextStance returns Ψᵢⱼ(t): the Pearson correlation of polarities over
 // the j→i parent-child interactions up to t, in [-1, 1].
 func (c *Computer) ContextStance(i, j int, t float64) float64 {
-	p := c.query(i, j)
-	if p == nil {
+	p := c.find(i, j)
+	if p < 0 {
 		return 0
 	}
-	return p.info.corrAt(t)
+	return c.info.at(p).corrAt(t)
 }
 
 // Informational returns αᴵᵢⱼ(t) = Φᵢⱼ(t)·Ψᵢⱼ(t).
 func (c *Computer) Informational(i, j int, t, beta float64) float64 {
-	return c.InfluenceDegree(i, j, t, beta) * c.ContextStance(i, j, t)
+	alpha, _ := c.InformationalGrad(i, j, t, beta)
+	return alpha
 }
 
 // InformationalGrad returns αᴵᵢⱼ(t) and its derivative with respect to β.
 func (c *Computer) InformationalGrad(i, j int, t, beta float64) (alpha, dBeta float64) {
-	phi, dphi := c.InfluenceDegreeGrad(i, j, t, beta)
-	psi := c.ContextStance(i, j, t)
+	p := c.find(i, j)
+	if p < 0 {
+		return 0, 0
+	}
+	s := c.info.at(p)
+	phi, dphi := influenceDegree(c.offspring(i), s, t, beta)
+	psi := s.corrAt(t)
 	return phi * psi, dphi * psi
 }
 
@@ -442,71 +270,66 @@ func (c *Computer) InformationalGrad(i, j int, t, beta float64) (alpha, dBeta fl
 // bit-identical to it at every query point (the decay recursion's state
 // does not depend on where queries fall between samples).
 type GradCursor struct {
-	c   *Computer
-	p   *pairData
-	i   int
+	off []float64 // the receiver's offspring times
+	s   series    // the pair's interaction series
 	cur decayCursor
 }
 
 // InformationalCursor starts a monotone αᴵᵢⱼ sweep at decay rate beta.
 func (c *Computer) InformationalCursor(i, j int, beta float64) GradCursor {
-	g := GradCursor{c: c, i: i}
-	if p := c.query(i, j); p != nil && p.info.len() > 0 {
-		g.p = p
-		g.cur = p.info.cursor(beta)
+	p := c.find(i, j)
+	if p < 0 {
+		return GradCursor{}
 	}
-	return g
+	s := c.info.at(p)
+	return GradCursor{off: c.offspring(i), s: s, cur: s.cursor(beta)}
 }
 
 // At returns αᴵᵢⱼ(t) and ∂αᴵᵢⱼ(t)/∂β. Query times must be nondecreasing
 // across calls on one cursor.
 func (g *GradCursor) At(t float64) (alpha, dBeta float64) {
-	if g.p == nil {
+	if g.s.len() == 0 {
 		return 0, 0
 	}
-	n := g.c.offspringCountAt(g.i, t)
+	n := countUpTo(g.off, t)
 	if n == 0 {
 		return 0, 0
 	}
 	sum, dsum := g.cur.at(t)
 	inv := 1 / float64(n)
 	phi, dphi := sum*inv, dsum*inv
-	psi := g.p.info.corrAt(t)
+	psi := g.s.corrAt(t)
 	return phi * psi, dphi * psi
 }
 
 // Normative returns αᴺᵢⱼ(t) of Eq. 5.2.
 func (c *Computer) Normative(i, j int, t float64) float64 {
-	p := c.query(i, j)
-	if p == nil {
+	p := c.find(i, j)
+	if p < 0 {
 		return 0
 	}
-	return p.norm.corrAt(t)
+	return c.norm.at(p).corrAt(t)
 }
 
 // InteractionCount returns how many parent-child interactions j→i exist in
 // the whole window (the size of N_ij(T)).
 func (c *Computer) InteractionCount(i, j int) int {
-	p := c.query(i, j)
-	if p == nil {
+	p := c.find(i, j)
+	if p < 0 {
 		return 0
 	}
-	return p.info.len()
+	return int(c.info.off[p+1] - c.info.off[p])
 }
 
 // ActivePairs lists every ordered pair with at least one informational or
 // normative sample — the sparse support the M-step iterates instead of all
-// M² pairs.
+// M² pairs — by receiver, then source.
 func (c *Computer) ActivePairs() []PairKey {
-	out := make([]PairKey, 0, len(c.pairs))
-	for k := range c.pairs {
-		out = append(out, PairKey{Receiver: int(k.i), Source: int(k.j)})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Receiver != out[b].Receiver {
-			return out[a].Receiver < out[b].Receiver
+	out := make([]PairKey, 0, len(c.srcs))
+	for i := 0; i+1 < len(c.rowOff); i++ {
+		for _, j := range c.srcs[c.rowOff[i]:c.rowOff[i+1]] {
+			out = append(out, PairKey{Receiver: i, Source: int(j)})
 		}
-		return out[a].Source < out[b].Source
-	})
+	}
 	return out
 }

@@ -7,16 +7,16 @@ import (
 )
 
 // FuzzConformitySeries drives arbitrary byte streams — decoded as (Δt, x, y)
-// sample triples plus a query schedule — through the series prefix
-// structures and holds them to their contracts:
-//   - add never panics, whatever the polarities (NaN/Inf on either side are
-//     sanitized to a voided (0,0) sample; timestamps are kept).
+// sample triples plus a query schedule — through the column builder's
+// series prefix structures and holds them to their contracts:
+//   - push never panics, whatever the polarities (NaN/Inf on either side
+//     are sanitized to a voided (0,0) sample; timestamps are kept).
 //   - corrAt stays in [-1, 1] and is never NaN.
 //   - countAt is monotone in t and respects the Nextafter tie bound.
 //   - decaySumAt (the recursion cursor) matches the naive rescan, stays
 //     finite, has sum ≥ 0 and dBeta ≤ 0.
 //
-// Negative or NaN Δt would make the stream non-chronological, which add's
+// Negative or NaN Δt would make the stream non-chronological, which push's
 // contract excludes — the fuzzer clamps those to 0 (a duplicate timestamp,
 // the hardest legal case for the tie rule).
 func FuzzConformitySeries(f *testing.F) {
@@ -44,7 +44,7 @@ func FuzzConformitySeries(f *testing.F) {
 		if len(data) > 8*3*512 {
 			data = data[:8*3*512]
 		}
-		s := newSeries()
+		var samples []sample
 		tm := 0.0
 		for len(data) >= 24 {
 			dt := math.Float64frombits(binary.LittleEndian.Uint64(data[0:]))
@@ -57,8 +57,9 @@ func FuzzConformitySeries(f *testing.F) {
 				dt = 1e9
 			}
 			tm += dt
-			s.add(tm, x, y)
+			samples = append(samples, sample{tm, x, y})
 		}
+		s := seriesOf(samples...)
 
 		prev := -1
 		cur := s.cursor(beta)

@@ -5,53 +5,92 @@ import (
 	"sort"
 )
 
-// series is a chronologically ordered stream of paired polarity samples
-// with prefix moments, so the Pearson correlation restricted to any prefix
-// [0, t] — the time-varying context stance — is an O(log n) query.
+// moments are a series' running sums up to and including one sample. ssgn
+// accumulates sign(x·y): the per-sample agreement indicator. Every stance
+// query reads all six at once, so they share one record instead of six
+// columns.
+type moments struct{ sx, sy, sxx, syy, sxy, ssgn float64 }
+
+// series is a read-only view of one pair's chronologically ordered stream of
+// paired polarity samples: times[k] is the k-th sample's time and mom[k] the
+// sums over samples 0..k, so the Pearson correlation restricted to any
+// prefix [0, t] — the time-varying context stance — is an O(log n) query.
+// Views are sub-slices of a seriesStore's flat columns.
 type series struct {
 	times []float64
-	// Cumulative moments; index k holds sums over the first k samples, so
-	// len = len(times)+1 with a leading zero entry. ssgn accumulates
-	// sign(x·y): the per-sample agreement indicator.
-	sx, sy, sxx, syy, sxy, ssgn []float64
+	mom   []moments
 }
 
-func newSeries() *series {
-	return &series{
-		sx: []float64{0}, sy: []float64{0}, sxx: []float64{0},
-		syy: []float64{0}, sxy: []float64{0}, ssgn: []float64{0},
+// seriesStore holds every pair's series of one kind (informational or
+// normative) in compressed sparse row form: pair p's samples occupy
+// [off[p], off[p+1]) of the flat, exactly sized times and mom columns.
+type seriesStore struct {
+	off   []int32
+	times []float64
+	mom   []moments
+}
+
+// at returns pair p's series.
+func (s *seriesStore) at(p int) series {
+	lo, hi := s.off[p], s.off[p+1]
+	return series{times: s.times[lo:hi:hi], mom: s.mom[lo:hi:hi]}
+}
+
+// newSeriesStore lays out a store for the given per-pair sample counts,
+// whose total must fit in int32: CSR offsets and exactly sized columns.
+func newSeriesStore(counts []int32) seriesStore {
+	off := make([]int32, len(counts)+1)
+	for p, n := range counts {
+		off[p+1] = off[p] + n
 	}
+	total := off[len(counts)]
+	return seriesStore{off: off, times: make([]float64, total), mom: make([]moments, total)}
 }
 
-// add appends a sample at time t (which must be >= the last time).
-// A non-finite polarity on either side voids the whole pair — both values
-// are recorded as 0 ("no measurable stance"). A NaN would otherwise poison
-// every prefix sum after it and make corrAt return NaN for all later
-// queries, and zeroing only the bad side would fabricate stance from the
-// surviving one; the timestamp is kept either way so decay sums still see
-// the interaction.
-func (s *series) add(t, x, y float64) {
+// seriesWriter fills one pair's slots of a store, carrying the running
+// prefix sums, so the moments accumulate in exactly the order a per-pair
+// append would use.
+type seriesWriter struct {
+	s   *seriesStore
+	k   int32   // next slot
+	sum moments // sums over the samples pushed so far
+}
+
+// writer starts filling pair p's slots from the first.
+func (s *seriesStore) writer(p int) seriesWriter {
+	return seriesWriter{s: s, k: s.off[p]}
+}
+
+// push appends the sample (x, y) at time t, which must be >= the pair's
+// last time. A non-finite polarity on either side voids the whole sample —
+// both values are recorded as 0 ("no measurable stance"). A NaN would
+// otherwise poison every prefix sum after it and make corrAt return NaN for
+// all later queries, and zeroing only the bad side would fabricate stance
+// from the surviving one; the timestamp is kept either way so decay sums
+// still see the interaction.
+func (w *seriesWriter) push(t, x, y float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
 		x, y = 0, 0
 	}
-	n := len(s.times)
-	s.times = append(s.times, t)
-	s.sx = append(s.sx, s.sx[n]+x)
-	s.sy = append(s.sy, s.sy[n]+y)
-	s.sxx = append(s.sxx, s.sxx[n]+x*x)
-	s.syy = append(s.syy, s.syy[n]+y*y)
-	s.sxy = append(s.sxy, s.sxy[n]+x*y)
 	sg := 0.0
 	if p := x * y; p > 0 {
 		sg = 1
 	} else if p < 0 {
 		sg = -1
 	}
-	s.ssgn = append(s.ssgn, s.ssgn[n]+sg)
+	w.sum.sx += x
+	w.sum.sy += y
+	w.sum.sxx += x * x
+	w.sum.syy += y * y
+	w.sum.sxy += x * y
+	w.sum.ssgn += sg
+	w.s.times[w.k] = t
+	w.s.mom[w.k] = w.sum
+	w.k++
 }
 
 // countAt returns how many samples have time ≤ t.
-func (s *series) countAt(t float64) int {
+func (s series) countAt(t float64) int {
 	return sort.SearchFloat64s(s.times, math.Nextafter(t, math.Inf(1)))
 }
 
@@ -68,16 +107,17 @@ func (s *series) countAt(t float64) int {
 // reading of "i's stance aligns with j's"; the blend converges to Pcc as
 // evidence accumulates. Without a fallback every pair would contribute
 // zero excitation until its stance history is rich, starving the EM loop.
-func (s *series) corrAt(t float64) float64 {
+func (s series) corrAt(t float64) float64 {
 	k := s.countAt(t)
 	if k == 0 {
 		return 0
 	}
 	n := float64(k)
-	agree := s.ssgn[k] / n
-	cov := s.sxy[k] - s.sx[k]*s.sy[k]/n
-	vx := s.sxx[k] - s.sx[k]*s.sx[k]/n
-	vy := s.syy[k] - s.sy[k]*s.sy[k]/n
+	mo := &s.mom[k-1]
+	agree := mo.ssgn / n
+	cov := mo.sxy - mo.sx*mo.sy/n
+	vx := mo.sxx - mo.sx*mo.sx/n
+	vy := mo.syy - mo.sy*mo.sy/n
 	if k < 2 || vx <= 1e-15 || vy <= 1e-15 {
 		return agree
 	}
@@ -96,7 +136,7 @@ func (s *series) corrAt(t float64) float64 {
 }
 
 // len returns the total number of samples.
-func (s *series) len() int { return len(s.times) }
+func (s series) len() int { return len(s.times) }
 
 // decayCursor incrementally evaluates Σ_{times[k] ≤ t} e^{−β(t−times[k])}
 // and its β-derivative for ONE fixed β at nondecreasing query times, via the
@@ -115,17 +155,17 @@ func (s *series) len() int { return len(s.times) }
 // recursion state, so interleaving queries with sample consumption yields
 // bit-identical floats to a one-shot evaluation at the final time.
 type decayCursor struct {
-	s    *series
-	beta float64
-	idx  int     // samples consumed so far
-	a    float64 // A_k: decayed count at the last consumed sample
-	b    float64 // B_k: decayed age sum at the last consumed sample
-	last float64 // time of the last consumed sample
+	times []float64
+	beta  float64
+	idx   int     // samples consumed so far
+	a     float64 // A_k: decayed count at the last consumed sample
+	b     float64 // B_k: decayed age sum at the last consumed sample
+	last  float64 // time of the last consumed sample
 }
 
 // cursor starts a monotone decay-sum sweep at the given decay rate.
-func (s *series) cursor(beta float64) decayCursor {
-	return decayCursor{s: s, beta: beta}
+func (s series) cursor(beta float64) decayCursor {
+	return decayCursor{times: s.times, beta: beta}
 }
 
 // at returns the decayed sum and its β-derivative at time t. Query times
@@ -133,7 +173,7 @@ func (s *series) cursor(beta float64) decayCursor {
 // (the tie rule matches countAt's Nextafter upper bound: a sample exactly at
 // t counts, with e^0 = 1).
 func (c *decayCursor) at(t float64) (sum, dBeta float64) {
-	ts := c.s.times
+	ts := c.times
 	for c.idx < len(ts) && ts[c.idx] <= t {
 		tk := ts[c.idx]
 		if c.idx == 0 {
@@ -160,7 +200,7 @@ func (c *decayCursor) at(t float64) (sum, dBeta float64) {
 // the influence degree Φ (Eq. 5.1) and what the M-step's β-gradient needs.
 // One-shot wrapper over the recursion cursor; callers issuing many queries
 // at the same β should hold a cursor instead.
-func (s *series) decaySumAt(t, beta float64) (sum, dBeta float64) {
+func (s series) decaySumAt(t, beta float64) (sum, dBeta float64) {
 	c := s.cursor(beta)
 	return c.at(t)
 }

@@ -11,7 +11,7 @@ import (
 // naiveDecaySum is the pre-recursion reference: rescan every sample with
 // time ≤ t. Kept in the tests as the oracle the O(k + q) recursion cursor is
 // pinned against.
-func naiveDecaySum(s *series, t, beta float64) (sum, dBeta float64) {
+func naiveDecaySum(s series, t, beta float64) (sum, dBeta float64) {
 	k := s.countAt(t)
 	for idx := 0; idx < k; idx++ {
 		dt := t - s.times[idx]
@@ -28,16 +28,16 @@ func naiveDecaySum(s *series, t, beta float64) (sum, dBeta float64) {
 func TestDecaySumMatchesNaiveScan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rng.New(seed)
-		s := newSeries()
+		var samples []sample
 		tm := 0.0
 		n := r.Intn(80) + 1
 		for i := 0; i < n; i++ {
-			tm += r.Exp(2)
-			if s.len() > 0 && r.Bernoulli(0.15) {
-				tm = s.times[s.len()-1] // duplicate timestamp
+			if i == 0 || !r.Bernoulli(0.15) {
+				tm += r.Exp(2) // otherwise a duplicate timestamp
 			}
-			s.add(tm, r.Uniform(-1, 1), r.Uniform(-1, 1))
+			samples = append(samples, sample{tm, r.Uniform(-1, 1), r.Uniform(-1, 1)})
 		}
+		s := seriesOf(samples...)
 		for trial := 0; trial < 8; trial++ {
 			beta := r.Uniform(0.01, 20)
 			q := r.Uniform(-1, tm+3)
@@ -68,12 +68,13 @@ func TestDecaySumMatchesNaiveScan(t *testing.T) {
 func TestDecayCursorMatchesOneShot(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rng.New(seed)
-		s := newSeries()
+		var samples []sample
 		tm := 0.0
 		for i, n := 0, r.Intn(60)+1; i < n; i++ {
 			tm += r.Exp(1)
-			s.add(tm, r.Uniform(-1, 1), r.Uniform(-1, 1))
+			samples = append(samples, sample{tm, r.Uniform(-1, 1), r.Uniform(-1, 1)})
 		}
+		s := seriesOf(samples...)
 		beta := r.Uniform(0.01, 20)
 		cur := s.cursor(beta)
 		q := -0.5
@@ -99,10 +100,11 @@ func TestDecayCursorMatchesOneShot(t *testing.T) {
 // decay sum (only timestamps matter), and the result stays finite for any
 // finite query.
 func TestDecaySumCursorFiniteUnderGarbage(t *testing.T) {
-	s := newSeries()
-	s.add(1, math.NaN(), 0.5)
-	s.add(1, math.Inf(1), math.Inf(-1))
-	s.add(2, 0.3, math.NaN())
+	s := seriesOf(
+		sample{1, math.NaN(), 0.5},
+		sample{1, math.Inf(1), math.Inf(-1)},
+		sample{2, 0.3, math.NaN()},
+	)
 	for _, beta := range []float64{0.01, 1, 20} {
 		cur := s.cursor(beta)
 		for _, q := range []float64{0, 1, 1.5, 2, 100} {
@@ -122,7 +124,7 @@ func TestDecaySumCursorFiniteUnderGarbage(t *testing.T) {
 func TestCountAtTieHandling(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rng.New(seed)
-		s := newSeries()
+		var samples []sample
 		tm := 0.0
 		type run struct {
 			t float64
@@ -133,10 +135,11 @@ func TestCountAtTieHandling(t *testing.T) {
 			tm += r.Exp(1)
 			n := r.Intn(4) + 1
 			for j := 0; j < n; j++ {
-				s.add(tm, r.Uniform(-1, 1), r.Uniform(-1, 1))
+				samples = append(samples, sample{tm, r.Uniform(-1, 1), r.Uniform(-1, 1)})
 			}
 			runs = append(runs, run{t: tm, n: n})
 		}
+		s := seriesOf(samples...)
 		total := 0
 		for _, ru := range runs {
 			below := s.countAt(math.Nextafter(ru.t, math.Inf(-1)))

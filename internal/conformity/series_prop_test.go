@@ -38,11 +38,11 @@ func TestCorrAtConstantPolarity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := newSeries()
+			var samples []sample
 			for k := 0; k < 8; k++ {
-				s.add(float64(k), c.x, c.y)
+				samples = append(samples, sample{float64(k), c.x, c.y})
 			}
-			got := s.corrAt(100)
+			got := seriesOf(samples...).corrAt(100)
 			checkStance(t, got, c.name)
 			if got != c.want {
 				t.Errorf("corrAt = %v, want sign-agreement %v", got, c.want)
@@ -54,8 +54,7 @@ func TestCorrAtConstantPolarity(t *testing.T) {
 // TestCorrAtSinglePair: one sample is below the two-sample minimum for
 // Pearson; the stance must still be defined (the sample's own agreement).
 func TestCorrAtSinglePair(t *testing.T) {
-	s := newSeries()
-	s.add(1.0, 0.8, -0.6)
+	s := seriesOf(sample{1.0, 0.8, -0.6})
 	got := s.corrAt(2.0)
 	checkStance(t, got, "single pair")
 	if got != -1 {
@@ -72,22 +71,20 @@ func TestCorrAtSinglePair(t *testing.T) {
 func TestCorrAtNaNInput(t *testing.T) {
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, v := range bad {
-		s := newSeries()
-		s.add(1.0, v, 1)
-		s.add(2.0, 1, v)
-		s.add(3.0, v, v)
+		s := seriesOf(sample{1.0, v, 1}, sample{2.0, 1, v}, sample{3.0, v, v})
 		if got := s.corrAt(10); got != 0 {
 			t.Errorf("garbage-only series: corrAt = %v, want 0", got)
 		}
 	}
 	// Garbage mixed into a healthy series must neither NaN the result nor
 	// erase the finite samples around it.
-	s := newSeries()
-	s.add(1.0, 0.9, 0.8)
-	s.add(2.0, math.NaN(), 0.5)
-	s.add(3.0, -0.7, -0.6)
-	s.add(4.0, 0.4, math.Inf(1))
-	s.add(5.0, 0.6, 0.7)
+	s := seriesOf(
+		sample{1.0, 0.9, 0.8},
+		sample{2.0, math.NaN(), 0.5},
+		sample{3.0, -0.7, -0.6},
+		sample{4.0, 0.4, math.Inf(1)},
+		sample{5.0, 0.6, 0.7},
+	)
 	got := s.corrAt(10)
 	checkStance(t, got, "mixed series")
 	if got <= 0 {
@@ -102,7 +99,7 @@ func TestCorrAtNaNInput(t *testing.T) {
 func TestCorrAtPropertyRandom(t *testing.T) {
 	r := rng.New(20260805)
 	for trial := 0; trial < 200; trial++ {
-		s := newSeries()
+		var samples []sample
 		n := 1 + int(r.Float64()*30)
 		tm := 0.0
 		for k := 0; k < n; k++ {
@@ -118,8 +115,9 @@ func TestCorrAtPropertyRandom(t *testing.T) {
 				// Constant stretch: zero-variance windows mid-stream.
 				x, y = 1, 1
 			}
-			s.add(tm, x, y)
+			samples = append(samples, sample{tm, x, y})
 		}
+		s := seriesOf(samples...)
 		for q := 0; q < 8; q++ {
 			at := r.Float64() * (tm + 1)
 			checkStance(t, s.corrAt(at), "random series")
@@ -134,9 +132,7 @@ func TestCorrAtPropertyRandom(t *testing.T) {
 // TestDecaySumFiniteUnderGarbage: the influence-degree numerator shares the
 // series and must stay finite too once samples are sanitized.
 func TestDecaySumFiniteUnderGarbage(t *testing.T) {
-	s := newSeries()
-	s.add(1.0, math.NaN(), math.Inf(-1))
-	s.add(2.0, 1, 1)
+	s := seriesOf(sample{1.0, math.NaN(), math.Inf(-1)}, sample{2.0, 1, 1})
 	sum, dBeta := s.decaySumAt(3.0, 0.5)
 	if math.IsNaN(sum) || math.IsNaN(dBeta) {
 		t.Fatalf("decaySumAt poisoned: sum=%v dBeta=%v", sum, dBeta)

@@ -9,11 +9,22 @@ import (
 	"chassis/internal/stats"
 )
 
+// sample is one (time, x, y) series sample.
+type sample struct{ t, x, y float64 }
+
+// seriesOf builds one pair's series through the production column builder,
+// pushing the samples in order.
+func seriesOf(samples ...sample) series {
+	store := newSeriesStore([]int32{int32(len(samples))})
+	w := store.writer(0)
+	for _, s := range samples {
+		w.push(s.t, s.x, s.y)
+	}
+	return store.at(0)
+}
+
 func TestSeriesCountAt(t *testing.T) {
-	s := newSeries()
-	s.add(1, 0.5, 0.5)
-	s.add(2, 0.5, 0.5)
-	s.add(4, 0.5, 0.5)
+	s := seriesOf(sample{1, 0.5, 0.5}, sample{2, 0.5, 0.5}, sample{4, 0.5, 0.5})
 	cases := []struct {
 		t    float64
 		want int
@@ -29,47 +40,41 @@ func TestSeriesCountAt(t *testing.T) {
 }
 
 func TestSeriesCorrAtBlending(t *testing.T) {
-	s := newSeries()
-	if s.corrAt(10) != 0 {
+	if seriesOf().corrAt(10) != 0 {
 		t.Error("empty series must give 0")
 	}
+	s := seriesOf(sample{1, 0.5, 0.7}, sample{2, -0.4, -0.6})
 	// One aligned sample: pure sign agreement = 1.
-	s.add(1, 0.5, 0.7)
 	approx(t, s.corrAt(1), 1, 1e-12, "single aligned sample")
-	// One opposed sample next: agreement drops to 0; Pearson defined for
-	// k=2 (both sides vary): r=... with two points r = ±1; here x: .5,-.4
-	// y: .7,-.6 → r=1; blend (2·1+3·0)/5.
-	s.add(2, -0.4, -0.6)
+	// An opposed sample next: Pearson is defined for k=2 (both sides
+	// vary); with two points r = ±1, here x: .5,-.4 y: .7,-.6 → r=1, and
+	// both samples agree in sign; blend (2·1+3·1)/5.
 	approx(t, s.corrAt(2), (2*1.0+3*1.0)/5, 1e-12, "two aligned samples blend")
 	// Zero product contributes 0 agreement.
-	s2 := newSeries()
-	s2.add(1, 0, 0.5)
-	approx(t, s2.corrAt(1), 0, 1e-12, "zero polarity gives zero agreement")
+	approx(t, seriesOf(sample{1, 0, 0.5}).corrAt(1), 0, 1e-12, "zero polarity gives zero agreement")
 }
 
 func TestSeriesCorrMatchesStatsPearsonAsymptotically(t *testing.T) {
 	// With many samples the blend converges to Pearson.
 	r := rng.New(3)
-	s := newSeries()
+	var samples []sample
 	var xs, ys []float64
 	for i := 0; i < 400; i++ {
 		x := r.Uniform(-1, 1)
 		y := 0.7*x + 0.3*r.Uniform(-1, 1)
-		s.add(float64(i), x, y)
+		samples = append(samples, sample{float64(i), x, y})
 		xs = append(xs, x)
 		ys = append(ys, y)
 	}
 	pcc, _ := stats.Pearson(xs, ys)
-	got := s.corrAt(1e9)
+	got := seriesOf(samples...).corrAt(1e9)
 	if math.Abs(got-pcc) > 0.02 {
 		t.Errorf("blended corr %g should approach Pearson %g", got, pcc)
 	}
 }
 
 func TestSeriesDecaySum(t *testing.T) {
-	s := newSeries()
-	s.add(1, 1, 1)
-	s.add(3, 1, 1)
+	s := seriesOf(sample{1, 1, 1}, sample{3, 1, 1})
 	beta := 0.5
 	sum, dBeta := s.decaySumAt(4, beta)
 	want := math.Exp(-beta*3) + math.Exp(-beta*1)
@@ -87,13 +92,14 @@ func TestSeriesDecaySum(t *testing.T) {
 func TestSeriesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rng.New(seed)
-		s := newSeries()
+		var samples []sample
 		tm := 0.0
 		n := r.Intn(50)
 		for i := 0; i < n; i++ {
 			tm += r.Exp(1)
-			s.add(tm, r.Uniform(-1, 1), r.Uniform(-1, 1))
+			samples = append(samples, sample{tm, r.Uniform(-1, 1), r.Uniform(-1, 1)})
 		}
+		s := seriesOf(samples...)
 		prev := -1
 		for q := 0.0; q < tm+2; q += 0.37 {
 			c := s.corrAt(q)

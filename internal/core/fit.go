@@ -248,6 +248,9 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		if !cfg.Variant.ConformityAware {
 			return nil
 		}
+		// Every reader of the previous snapshot has finished; dropping it
+		// first keeps two computers from being live at once.
+		conf = nil
 		var err error
 		conf, err = conformity.New(work, forest, cfg.Conformity)
 		return err
@@ -471,6 +474,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	}
 	m.Forest = forest
 	if cfg.Variant.ConformityAware {
+		conf = nil // the readout was its last reader
 		m.Conf, err = conformity.New(work, forest, cfg.Conformity)
 		if err != nil {
 			return nil, err

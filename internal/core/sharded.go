@@ -229,9 +229,11 @@ func (m *Model) eStepSharded(ctx context.Context, sh *shardSource, conf *conform
 // through the same column-built path conformity.New uses — the snapshot, and
 // with it every fitted parameter, matches the in-memory fit bit for bit. The
 // transient scan state is O(events)·20 bytes plus the retained per-pair
-// series; Config.Conformity.MaxActivePairs bounds the latter, failing with
-// *conformity.PairBudgetError instead of exhausting memory on adversarially
-// dense corpora.
+// series; Config.Conformity.MaxActivePairs bounds the latter. Each build
+// counts its distinct (receiver, source) pairs before it allocates any
+// series column, and fails with *conformity.PairBudgetError exactly when
+// that count exceeds the budget, instead of exhausting memory on
+// adversarially dense corpora.
 //
 // Checkpointing and resume work as in FitContext, with the corpus identified
 // by the colstore footer fingerprint instead of the sequence hash. An
@@ -452,6 +454,9 @@ func fitShardedOn(ctx context.Context, rd *colstore.Reader, sh *shardSource, cfg
 		if !cfg.Variant.ConformityAware {
 			return nil
 		}
+		// Every reader of the previous snapshot has finished; dropping it
+		// first keeps two computers from being live at once.
+		conf = nil
 		var err error
 		conf, err = buildConf(forest)
 		return err
@@ -574,6 +579,7 @@ func fitShardedOn(ctx context.Context, rd *colstore.Reader, sh *shardSource, cfg
 	}
 	m.Forest = forest
 	if cfg.Variant.ConformityAware {
+		conf = nil // the readout was its last reader
 		if m.Conf, err = buildConf(forest); err != nil {
 			return nil, err
 		}
