@@ -124,8 +124,8 @@ type checkpointer struct {
 }
 
 // newCheckpointer builds the checkpoint writer for a fit over data
-// identified by dataHash: the in-memory fit passes sequenceFingerprint, the
-// sharded fit the colstore footer fingerprint. The two prefixes differ
+// identified by dataHash: the in-memory source passes sequenceFingerprint,
+// the colstore source the footer fingerprint. The two prefixes differ
 // ("fnv64a:" vs "colstore:"), so a checkpoint is never resumed by the other
 // driver — the fingerprints cover different byte representations of the
 // data, and cross-resuming would bypass that guard.

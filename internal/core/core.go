@@ -237,8 +237,8 @@ type Config struct {
 	// boundaries change which buffer the chunk bodies read through, never
 	// which floats they compute — so it is excluded from config
 	// fingerprints, and a checkpointed run may resume under a different
-	// value. 0 selects the default (256k events). Ignored by the in-memory
-	// drivers.
+	// value. 0 selects the default (256k events). The in-memory drivers
+	// ignore it: their sequence is already one window holding every chunk.
 	ShardEvents int `json:"-"`
 
 	// observer/metrics are the observability hooks, settable only through
@@ -432,7 +432,12 @@ func (m *Model) processWith(conf *conformity.Computer) *hawkes.Process {
 // conformity variants, the *effective* excitation — the average of
 // Eq. 4.1's αᵢⱼ(t) over the source user's actual activity times, which is
 // exactly the weight the model applied to j's events when exciting i.
+// Conformity variants need the training sequence for those times, so a
+// model without one (a FitSharded fit) returns nil for them.
 func (m *Model) EstimatedInfluence() [][]float64 {
+	if m.Variant.ConformityAware && m.seq == nil {
+		return nil
+	}
 	out := dense(m.M)
 	if !m.Variant.ConformityAware {
 		for i := range out {
@@ -477,22 +482,20 @@ func (m *Model) InferForest(seq *timeline.Sequence) (*branching.Forest, error) {
 	if seq.M != m.M {
 		return nil, fmt.Errorf("core: sequence has %d dimensions, model has %d", seq.M, m.M)
 	}
-	savedMAP := m.cfg.MAPEStep
-	m.cfg.MAPEStep = true
-	defer func() { m.cfg.MAPEStep = savedMAP }()
 	// Bootstrap conformity from an initial heuristic forest, then one
 	// parameter-driven pass (two passes let conformity-based excitation
 	// inform the final trees).
-	f, err := m.bootstrapForest(nil, seq)
+	src := newSeqSource(seq)
+	f, err := m.bootstrapForest(nil, src)
 	if err != nil {
 		return nil, err
 	}
 	for pass := 0; pass < 2; pass++ {
-		conf, err := conformity.New(seq, f, m.cfg.Conformity)
+		conf, err := src.conformity(f, m.cfg.Conformity)
 		if err != nil {
 			return nil, err
 		}
-		f, err = m.eStep(seq, conf)
+		f, err = m.eStepMode(nil, src, conf, true, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -97,11 +97,11 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	for i := range m.Kernels {
 		m.Kernels[i] = sampled
 	}
-	m.sources = cooccurrenceSources(d.Seq, cfg.KernelSupport)
-	m.initParams(d.Seq)
+	m.sources = cooccurrenceSources(seqColumns(d.Seq), cfg.KernelSupport)
+	m.initParams(seqColumns(d.Seq))
 
 	work := d.Seq.StripParents()
-	forest, err := m.bootstrapForest(nil, work)
+	forest, err := m.bootstrapForest(nil, newSeqSource(work))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestEStepBeatsRandomOnSimulatedTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot, err := m.bootstrapForest(nil, d.Seq.StripParents())
+	boot, err := m.bootstrapForest(nil, newSeqSource(d.Seq.StripParents()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestCooccurrenceSources(t *testing.T) {
 		})
 	}
 	seq.Normalize()
-	src := cooccurrenceSources(seq, 2)
+	src := cooccurrenceSources(seqColumns(seq), 2)
 	if len(src[1]) != 1 || src[1][0] != 0 {
 		t.Errorf("sources[1] = %v, want [0]", src[1])
 	}

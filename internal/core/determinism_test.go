@@ -164,12 +164,12 @@ func TestEStepDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) []timeline.ActivityID {
 		m.cfg.Workers = workers
 		m.estepCalls = 1000 // pin the E-step RNG label across runs
-		f, err := m.eStepMode(nil, work, m.Conf, false, m.Forest, nil)
+		f, err := m.eStepMode(nil, newSeqSource(work), m.Conf, false, m.Forest, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		m.estepCalls = 1000
-		f2, err := m.eStepMode(nil, work, m.Conf, false, m.Forest, nil)
+		f2, err := m.eStepMode(nil, newSeqSource(work), m.Conf, false, m.Forest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

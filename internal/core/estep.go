@@ -50,16 +50,20 @@ func windowStartIn(win []timeline.Activity, off int, t float64) int {
 // attaches to a preceding activity with probability proportional to the
 // initial kernel's decay — no model parameters involved yet. Events are
 // sharded into fixed chunks, each drawing from its own Split-derived RNG
-// stream, so the sampled forest is identical at any worker count.
-func (m *Model) bootstrapForest(ctx context.Context, seq *timeline.Sequence) (*branching.Forest, error) {
+// stream, so the sampled forest is identical at any worker count and any
+// window layout of the source.
+func (m *Model) bootstrapForest(ctx context.Context, src eventSource) (*branching.Forest, error) {
 	base := rng.New(m.cfg.Seed).Split(101)
-	n := seq.Len()
-	parents := make([]int32, n)
+	parents := make([]int32, len(src.columns().times))
 	workers := parallel.Workers(m.cfg.Workers)
-	err := parallel.ForEachChunkContext(ctx, workers, n, estepChunkSize, func(c parallel.Range) error {
-		r := base.Split(int64(c.Index) + 1)
-		m.bootstrapChunk(seq.Activities, 0, c, r, parents)
-		return nil
+	support := m.Kernels[0].Support()
+	err := src.forEachWindow(support, func(win []timeline.Activity, off int, chunks []parallel.Range) error {
+		return parallel.DoContext(ctx, workers, len(chunks), func(ci int) error {
+			c := chunks[ci]
+			r := base.Split(int64(c.Index) + 1)
+			m.bootstrapChunk(win, off, c, r, parents)
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -67,13 +71,13 @@ func (m *Model) bootstrapForest(ctx context.Context, seq *timeline.Sequence) (*b
 	return branching.FromParents32(parents)
 }
 
-// bootstrapChunk is the bootstrap's chunk body, shared between the in-memory
-// fit (win = the whole sequence, off = 0) and the sharded fit (win = a
-// halo-extended shard window holding global events [off, off+len(win)), c a
-// chunk of the same global grid). All indices — c.Lo/c.Hi, the sliding
-// window, the parents slots — are global; win is only the storage they are
-// read through. Keeping one body guarantees both fits perform the identical
-// float operations in the identical order on the identical RNG stream.
+// bootstrapChunk is the bootstrap's chunk body over one source window (the
+// whole sequence with off = 0 in memory, a halo-extended shard window holding
+// global events [off, off+len(win)) out of core; c a chunk of the global
+// grid). All indices — c.Lo/c.Hi, the sliding window, the parents slots —
+// are global; win is only the storage they are read through, so every window
+// layout performs the identical float operations in the identical order on
+// the identical RNG stream.
 func (m *Model) bootstrapChunk(win []timeline.Activity, off int, c parallel.Range, r *rng.RNG, parents []int32) {
 	ker := m.Kernels[0]
 	support := ker.Support()
@@ -119,18 +123,6 @@ func (m *Model) bootstrapChunk(win []timeline.Activity, off int, c parallel.Rang
 	}
 }
 
-// eStep infers the branching structure under the current parameters: for
-// every activity a_{ik}, candidate parents are scored by the Papangelou
-// intensity drop F(g) − F(g − c_e), where g is the pre-link aggregate at
-// t_{ik} and c_e the candidate's additive contribution; the immigrant
-// option is scored F(μᵢ). For the linear link the drop reduces to c_e and
-// the rule coincides with the classical triggering-probability ratio of
-// linear-Hawkes EM; for nonlinear links it remains well-defined, which is
-// the relaxation the paper's Section 6 calls for.
-func (m *Model) eStep(seq *timeline.Sequence, conf *conformity.Computer) (*branching.Forest, error) {
-	return m.eStepMode(nil, seq, conf, m.cfg.MAPEStep, nil, nil)
-}
-
 // estepStats is the per-pass measurement eStepMode fills when the fit is
 // observed: the mean entropy (nats) of the scored triggering distributions
 // and how many events were scored. Collecting it reads the weights the
@@ -141,7 +133,16 @@ type estepStats struct {
 	events  int
 }
 
-// eStepMode lets the EM driver anneal: sampled assignments early (explore
+// eStepMode infers the branching structure under the current parameters:
+// for every activity a_{ik}, candidate parents are scored by the Papangelou
+// intensity drop F(g) − F(g − c_e), where g is the pre-link aggregate at
+// t_{ik} and c_e the candidate's additive contribution; the immigrant
+// option is scored F(μᵢ). For the linear link the drop reduces to c_e and
+// the rule coincides with the classical triggering-probability ratio of
+// linear-Hawkes EM; for nonlinear links it remains well-defined, which is
+// the relaxation the paper's Section 6 calls for.
+//
+// The mode lets the EM driver anneal: sampled assignments early (explore
 // the posterior while parameters are uninformative), MAP later (converge
 // the trees so the conformity quantities — and with them the likelihood —
 // stop jittering between iterations). When prev is non-nil only a random
@@ -154,17 +155,21 @@ type estepStats struct {
 // state, and writes one disjoint parents slot. The loop is therefore
 // sharded into fixed estepChunkSize chunks; chunk c draws from the stream
 // Split(211+call).Split(c+1) and re-derives its own sliding support window,
-// so the inferred forest is bit-identical for any Workers/GOMAXPROCS.
+// so the inferred forest is bit-identical for any Workers/GOMAXPROCS and any
+// window layout of the source. conf is the iteration's frozen conformity
+// snapshot (nil for the baseline variants); the excitation it parameterizes
+// is queried by (receiver, source, time) only, which is why windows never
+// need polarities.
 //
 // ctx is polled at chunk boundaries; a cancelled pass returns ctx.Err().
 // When stats is non-nil the pass also measures the scored triggering
 // distributions (per-chunk entropy accumulators, reduced in chunk order so
 // the reported number is itself deterministic).
-func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer, mapMode bool, prev *branching.Forest, stats *estepStats) (*branching.Forest, error) {
+func (m *Model) eStepMode(ctx context.Context, src eventSource, conf *conformity.Computer, mapMode bool, prev *branching.Forest, stats *estepStats) (*branching.Forest, error) {
 	m.estepCalls++
 	base := rng.New(m.cfg.Seed).Split(211 + int64(m.estepCalls))
 	exc := excitation{m: m, conf: conf}
-	n := seq.Len()
+	n := len(src.columns().times)
 	parents := make([]int32, n)
 	maxSupport := 0.0
 	for _, ker := range m.Kernels {
@@ -180,10 +185,13 @@ func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *con
 		entCnt = make([]int, chunks)
 	}
 	workers := parallel.Workers(m.cfg.Workers)
-	err := parallel.ForEachChunkContext(ctx, workers, n, estepChunkSize, func(c parallel.Range) error {
-		r := base.Split(int64(c.Index) + 1)
-		m.eStepChunk(seq.Activities, 0, c, r, exc, maxSupport, mapMode, prev, parents, entSum, entCnt)
-		return nil
+	err := src.forEachWindow(maxSupport, func(win []timeline.Activity, off int, chunks []parallel.Range) error {
+		return parallel.DoContext(ctx, workers, len(chunks), func(ci int) error {
+			c := chunks[ci]
+			r := base.Split(int64(c.Index) + 1)
+			m.eStepChunk(win, off, c, r, exc, maxSupport, mapMode, prev, parents, entSum, entCnt)
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -204,15 +212,13 @@ func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *con
 	return branching.FromParents32(parents)
 }
 
-// eStepChunk is the E-step's chunk body, shared between the in-memory fit
-// (win = the whole sequence, off = 0) and the sharded fit (win = a
-// halo-extended shard window holding global events [off, off+len(win)), c a
-// chunk of the same global grid). All indices are global — c.Lo/c.Hi, the
-// sliding support window, prev-forest lookups, parents slots, and the
-// entSum/entCnt accumulators (indexed by global chunk index) — so a shard
-// boundary changes which storage the floats are read from, never which
-// floats are read or in what order. That shared-body discipline is the
-// bit-identity argument for the out-of-core fit (DESIGN.md §15).
+// eStepChunk is the E-step's chunk body over one source window (see
+// bootstrapChunk). All indices are global — c.Lo/c.Hi, the sliding support
+// window, prev-forest lookups, parents slots, and the entSum/entCnt
+// accumulators (indexed by global chunk index) — so a shard boundary changes
+// which storage the floats are read from, never which floats are read or in
+// what order. That is the bit-identity argument for the out-of-core source
+// (DESIGN.md §15).
 func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r *rng.RNG, exc excitation, maxSupport float64, mapMode bool, prev *branching.Forest, parents []int32, entSum []float64, entCnt []int) {
 	hi := off + len(win)
 	// Pooled per-chunk scratch; see bootstrapChunk.

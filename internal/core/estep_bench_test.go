@@ -52,7 +52,7 @@ func BenchmarkEStepWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.eStepMode(nil, work, conf, true, nil, nil); err != nil {
+				if _, err := m.eStepMode(nil, newSeqSource(work), conf, true, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +70,7 @@ func BenchmarkBootstrapWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.bootstrapForest(nil, work); err != nil {
+				if _, err := m.bootstrapForest(nil, newSeqSource(work)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,6 +40,10 @@ func Fit(seq *timeline.Sequence, cfg Config) (*Model, error) {
 // fitted state, so the fitted parameters and forest are bit-identical to an
 // unobserved Fit at every Workers setting. ctx may be nil (never
 // cancelled).
+//
+// FitContext and FitSharded run one EM loop over two event sources: here the
+// whole sequence is one window holding every scheduling chunk, so
+// Config.ShardEvents has no effect.
 func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ...Option) (*Model, error) {
 	for _, o := range opts {
 		if o != nil {
@@ -60,6 +64,30 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	if err := seq.Check(); err != nil {
 		return nil, fmt.Errorf("core: invalid training sequence: %w", err)
 	}
+	var observed *branching.Forest
+	if cfg.UseObservedTrees {
+		var err error
+		if observed, err = branching.FromSequence(seq); err != nil {
+			return nil, fmt.Errorf("core: UseObservedTrees: %w", err)
+		}
+	}
+	// Unless the platform exposes connectivity, the sequence must be
+	// treated as unlabeled: inference never reads the ground-truth parents.
+	src := newSeqSource(seq.StripParents())
+	src.raw = seq
+	m, err := fit(ctx, src, cfg, observed)
+	if err != nil {
+		return nil, err
+	}
+	m.seq = seq
+	return m, nil
+}
+
+// fit is the semi-parametric EM loop behind FitContext and FitSharded. cfg
+// is filled; observed, when non-nil, is the platform's forest, which
+// replaces tree inference.
+func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.Forest) (*Model, error) {
+	cols, seq := src.columns(), src.sequence()
 	if cfg.KernelSupport <= 0 {
 		// Data-driven kernel horizon. Bursty streams make the median gap
 		// collapse to the intra-burst spacing, which would cut slow
@@ -67,7 +95,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		// the scale comes from an upper gap quantile with a median-based
 		// floor, capped so sparse streams don't blow the support up to the
 		// whole window.
-		cfg.KernelSupport = supportHeuristic(seq)
+		cfg.KernelSupport = supportHeuristic(cols)
 	}
 	if cfg.InitKernelRate <= 0 {
 		cfg.InitKernelRate = 5 / cfg.KernelSupport
@@ -91,30 +119,24 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		cfg.metrics = metrics
 	}
 
+	// Baseline variants allocate only the excitation matrix: nothing reads a
+	// baseline's conformity parameter matrices, so they stay nil (LoadModel
+	// fills them when it rebuilds a saved model).
 	m := &Model{
-		M: seq.M, Variant: cfg.Variant, Horizon: seq.Horizon,
-		Mu:     make([]float64, seq.M),
-		GammaI: dense(seq.M), GammaN: dense(seq.M),
-		Beta: dense(seq.M), Alpha: dense(seq.M),
-		Kernels: make([]kernel.Kernel, seq.M),
-		cfg:     cfg, link: link, seq: seq,
+		M: cols.m, Variant: cfg.Variant, Horizon: cols.horizon,
+		Mu:      make([]float64, cols.m),
+		Alpha:   dense(cols.m),
+		Kernels: make([]kernel.Kernel, cols.m),
+		cfg:     cfg, link: link,
 		stepScale: 1,
 	}
-
-	// Unless the platform exposes connectivity, the sequence must be
-	// treated as unlabeled: inference never reads the ground-truth parents.
-	work := seq.StripParents()
-	var observed *branching.Forest
-	if cfg.UseObservedTrees {
-		observed, err = branching.FromSequence(seq)
-		if err != nil {
-			return nil, fmt.Errorf("core: UseObservedTrees: %w", err)
-		}
+	if cfg.Variant.ConformityAware {
+		m.GammaI, m.GammaN, m.Beta = dense(m.M), dense(m.M), dense(m.M)
 	}
 
 	var ckpt *checkpointer
 	if cfg.CheckpointDir != "" {
-		if ckpt, err = newCheckpointer(cfg, sequenceFingerprint(seq)); err != nil {
+		if ckpt, err = newCheckpointer(cfg, src.dataHash()); err != nil {
 			return nil, err
 		}
 	}
@@ -148,8 +170,8 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			return nil, err
 		}
 
-		m.sources = cooccurrenceSources(seq, cfg.KernelSupport)
-		m.initParams(seq)
+		m.sources = cooccurrenceSources(cols, cfg.KernelSupport)
+		m.initParams(cols)
 
 		_, linear := m.link.(hawkes.LinearLink)
 		// The warm start (L-HP pilot + μ band) exists to bootstrap *tree
@@ -179,11 +201,12 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			// The pilot shares the metrics registry (its compensator work is part
 			// of this fit) but not the observer: the observer contract promises
 			// strictly increasing iteration numbers for *this* fit only. It also
-			// never checkpoints — the outer fit's checkpoint subsumes it.
+			// never checkpoints — the outer fit's checkpoint subsumes it. It
+			// runs on the same source, so the corpus is not read again.
 			hpCfg.observer = nil
 			hpCfg.CheckpointDir = ""
 			hpCfg.Resume = false
-			hp, err := FitContext(ctx, seq, hpCfg)
+			hp, err := fit(ctx, src, hpCfg, nil)
 			if err != nil {
 				return nil, wrapCancel("warmstart", 0, err)
 			}
@@ -206,7 +229,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 				}
 			}
 		} else {
-			forest, err = m.bootstrapForest(ctx, work)
+			forest, err = m.bootstrapForest(ctx, src)
 			if err != nil {
 				return nil, wrapCancel("bootstrap", 0, err)
 			}
@@ -215,12 +238,8 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		// those are the pairs with interaction history, hence nonzero
 		// conformity. (Co-occurrence ranks fill the remaining slots.)
 		if cfg.Variant.ConformityAware && forest != nil {
-			src := seq
-			if observed == nil {
-				src = work
-			}
-			m.sources = forestSources(src, forest, m.sources)
-			m.initParams(seq)
+			m.sources = forestSources(cols, forest, m.sources)
+			m.initParams(cols)
 			if m.muLo != nil {
 				// Re-initializing overwrote the pinned μ; restore the band
 				// centers.
@@ -251,8 +270,10 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		// Every reader of the previous snapshot has finished; dropping it
 		// first keeps two computers from being live at once.
 		conf = nil
+		start := time.Now()
 		var err error
-		conf, err = conformity.New(work, forest, cfg.Conformity)
+		conf, err = src.conformity(forest, cfg.Conformity)
+		metrics.Timer("core.conformity").Add(time.Since(start))
 		return err
 	}
 	if err := rebuildConf(); err != nil {
@@ -262,8 +283,9 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	// The training LL is evaluated per iteration when the caller asked for
 	// the history, an observer wants to report it, or the guard needs it for
 	// regression checks — a pure computation either way, so neither
-	// observing nor guarding a fit can change the fitted parameters.
-	trackLL := cfg.TrackHistory || obsv != nil || guardOn
+	// observing nor guarding a fit can change the fitted parameters. It
+	// needs the in-memory sequence.
+	trackLL := seq != nil && (cfg.TrackHistory || obsv != nil || guardOn)
 	eulerCounter := metrics.Counter("hawkes.euler_steps")
 
 	// fail flushes the last captured checkpoint before an error exit, so a
@@ -298,7 +320,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			ms = &mstepStats{}
 		}
 		msStart := time.Now()
-		if err = m.mStep(ctx, work, conf, ms); err != nil {
+		if err = m.mStep(ctx, src, conf, ms); err != nil {
 			err = wrapCancel("mstep", iterNo, err)
 			return
 		}
@@ -307,7 +329,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		metrics.Timer("core.mstep").Add(msDur)
 		if !cfg.FixedKernel {
 			kStart := time.Now()
-			if err = m.updateKernels(ctx, work, conf); err != nil {
+			if err = m.updateKernels(ctx, seq, conf); err != nil {
 				err = wrapCancel("kernels", iterNo, err)
 				return
 			}
@@ -341,7 +363,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 				es = &estepStats{}
 			}
 			eStart := time.Now()
-			forest, err = m.eStepMode(ctx, work, conf, mapMode, forest, es)
+			forest, err = m.eStepMode(ctx, src, conf, mapMode, forest, es)
 			if err != nil {
 				err = wrapCancel("estep", iterNo, err)
 				return
@@ -369,7 +391,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			llOpts.Ctx = ctx
 			llStart := time.Now()
 			var ll float64
-			ll, err = m.processWith(conf).LogLikelihood(work, llOpts)
+			ll, err = m.processWith(conf).LogLikelihood(seq, llOpts)
 			if err != nil {
 				err = wrapCancel("loglik", iterNo, err)
 				return
@@ -467,19 +489,18 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	// Final tree readout under the converged parameters (observed trees
 	// are kept verbatim).
 	if observed == nil {
-		forest, err = m.eStepMode(ctx, work, conf, true, nil, nil)
+		forest, err = m.eStepMode(ctx, src, conf, true, nil, nil)
 		if err != nil {
 			return nil, wrapCancel("readout", 0, err)
 		}
 	}
 	m.Forest = forest
-	if cfg.Variant.ConformityAware {
-		conf = nil // the readout was its last reader
-		m.Conf, err = conformity.New(work, forest, cfg.Conformity)
-		if err != nil {
-			return nil, err
-		}
+	// The readout was the last reader of the loop's snapshot; the model
+	// keeps one built on the read-out trees.
+	if err := rebuildConf(); err != nil {
+		return nil, err
 	}
+	m.Conf = conf
 	if guardOn {
 		// The guarded contract's last line of defense: a guarded fit never
 		// hands out non-finite parameters, whatever path produced them.
@@ -499,8 +520,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 // makes early E-steps attribute everything to the most recent candidate, and
 // the nonparametric updates then reinforce that choice — the floor keeps
 // slow triggering tails (replies to a cascade's root long after it was
-// posted) representable from the start. Shared by the in-memory and sharded
-// drivers; it reads only the resolved config.
+// posted) representable from the start. It reads only the resolved config.
 func (m *Model) initKernels() error {
 	initKer, err := kernel.NewExponential(m.cfg.InitKernelRate)
 	if err != nil {
@@ -535,21 +555,22 @@ func (m *Model) initKernels() error {
 // initParams follows the paper's initialization: μ sampled from U[0, 0.01]
 // (linear link; the exp link uses the log event rate so eᵘ starts at the
 // right scale) and the coefficients {γᴵ, β, γᴺ} — or α for HP baselines —
-// from U[0, 0.1], restricted to the active pair support. For linear links
-// seq is only consulted lazily (the sharded driver passes nil: its corpus
-// has no in-memory sequence, and the linear draws need none).
-func (m *Model) initParams(seq *timeline.Sequence) {
+// from U[0, 0.1], restricted to the active pair support.
+func (m *Model) initParams(cols *eventCols) {
 	r := rng.New(m.cfg.Seed).Split(307)
 	_, linear := m.link.(hawkes.LinearLink)
 	var counts []int
 	if !linear {
-		counts = seq.CountByUser()
+		counts = make([]int, m.M)
+		for _, u := range cols.users {
+			counts[u]++
+		}
 	}
 	for i := 0; i < m.M; i++ {
 		if linear {
 			m.Mu[i] = r.Uniform(1e-4, 0.01)
 		} else {
-			rate := float64(counts[i])/seq.Horizon + 1e-4
+			rate := float64(counts[i])/cols.horizon + 1e-4
 			m.Mu[i] = math.Log(rate)
 		}
 		for _, j := range m.sources[i] {
@@ -568,41 +589,12 @@ func (m *Model) initParams(seq *timeline.Sequence) {
 	}
 }
 
-// medianGap returns the median gap between consecutive activities.
-func medianGap(seq *timeline.Sequence) float64 {
-	n := seq.Len()
-	if n < 2 {
-		return 0
-	}
-	gaps := make([]float64, 0, n-1)
-	for k := 1; k < n; k++ {
-		if g := seq.Activities[k].Time - seq.Activities[k-1].Time; g > 0 {
-			gaps = append(gaps, g)
-		}
-	}
-	if len(gaps) == 0 {
-		return 0
-	}
-	sort.Float64s(gaps)
-	return gaps[len(gaps)/2]
-}
-
 // supportHeuristic picks the triggering-kernel horizon from the inter-event
 // gap distribution: max(15×q80, 20×median), capped at Horizon/10.
-func supportHeuristic(seq *timeline.Sequence) float64 {
-	times := make([]float64, seq.Len())
-	for k := range seq.Activities {
-		times[k] = seq.Activities[k].Time
-	}
-	return supportFromTimes(times, seq.Horizon)
-}
-
-// supportFromTimes is supportHeuristic over a bare timestamp column — the
-// form both drivers share, so the sharded fit derives the identical support
-// (and with it identical kernels) from a colstore corpus.
-func supportFromTimes(times []float64, horizon float64) float64 {
+func supportHeuristic(cols *eventCols) float64 {
+	times := cols.times
 	n := len(times)
-	hi := horizon / 10
+	hi := cols.horizon / 10
 	if n < 2 {
 		return hi
 	}
@@ -630,20 +622,9 @@ func supportFromTimes(times []float64, horizon float64) float64 {
 // carry conformity signal. Remaining slots (up to MaxSourcesPerDim) are
 // filled from the temporal co-occurrence ranking so newly-forming pairs can
 // still be picked up.
-func forestSources(seq *timeline.Sequence, forest *branching.Forest, coocc [][]int) [][]int {
-	users := make([]uint32, seq.Len())
-	for k := range seq.Activities {
-		users[k] = uint32(seq.Activities[k].User)
-	}
-	return forestSourcesFromCols(users, seq.M, forest, coocc)
-}
-
-// forestSourcesFromCols is forestSources over a bare user column — the form
-// the sharded driver feeds straight from its flat columns. One ranking body
-// for both drivers keeps the conformity pair support (and the initParams RNG
-// consumption that follows it) bit-identical between them.
-func forestSourcesFromCols(users []uint32, m int, forest *branching.Forest, coocc [][]int) [][]int {
-	counts := make([]map[int]int, m)
+func forestSources(cols *eventCols, forest *branching.Forest, coocc [][]int) [][]int {
+	users := cols.users
+	counts := make([]map[int]int, cols.m)
 	for i := range counts {
 		counts[i] = make(map[int]int)
 	}
@@ -658,7 +639,7 @@ func forestSourcesFromCols(users []uint32, m int, forest *branching.Forest, cooc
 			counts[i][j]++
 		}
 	}
-	out := make([][]int, m)
+	out := make([][]int, cols.m)
 	for i := range out {
 		type jc struct{ j, c int }
 		var list []jc
@@ -698,22 +679,9 @@ func forestSourcesFromCols(users []uint32, m int, forest *branching.Forest, cooc
 // cooccurrenceSources finds, per receiver i, the source users whose events
 // most often precede i's events within the kernel support — the sparse
 // support the M-step optimizes over.
-func cooccurrenceSources(seq *timeline.Sequence, support float64) [][]int {
-	times := make([]float64, seq.Len())
-	users := make([]uint32, seq.Len())
-	for k := range seq.Activities {
-		times[k] = seq.Activities[k].Time
-		users[k] = uint32(seq.Activities[k].User)
-	}
-	return cooccurrenceFromCols(times, users, seq.M, support)
-}
-
-// cooccurrenceFromCols is cooccurrenceSources over bare (time, user)
-// columns, the form the sharded driver feeds straight from a colstore scan.
-// One body for both drivers means one ranking — the pair support, and
-// therefore the initParams RNG consumption, cannot diverge between them.
-func cooccurrenceFromCols(times []float64, users []uint32, m int, support float64) [][]int {
-	counts := make([]map[int]int, m)
+func cooccurrenceSources(cols *eventCols, support float64) [][]int {
+	times, users := cols.times, cols.users
+	counts := make([]map[int]int, cols.m)
 	for i := range counts {
 		counts[i] = make(map[int]int)
 	}
@@ -731,7 +699,7 @@ func cooccurrenceFromCols(times []float64, users []uint32, m int, support float6
 			}
 		}
 	}
-	out := make([][]int, m)
+	out := make([][]int, cols.m)
 	for i := range out {
 		type jc struct{ j, c int }
 		var list []jc

@@ -178,7 +178,7 @@ func (m *Model) RefitIncremental(ctx context.Context, seq *timeline.Sequence, pa
 		}
 	}
 	out.Conf = conf
-	if err := out.mStep(ctx, work, conf, nil); err != nil {
+	if err := out.mStep(ctx, newSeqSource(work), conf, nil); err != nil {
 		return nil, err
 	}
 	for i := range out.Mu {

@@ -412,52 +412,43 @@ type mstepStats struct {
 // when non-nil, receives the pass's gradient-norm measurement. The returned
 // error only reports worker panics or cancellation: a dimension whose
 // optimizer fails simply keeps its parameters.
-func (m *Model) mStep(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer, stats *mstepStats) error {
-	if _, linear := m.link.(hawkes.LinearLink); linear {
-		// Linear links take the batched streaming builder: one chronological
-		// pass per dimension batch instead of one full-sequence pass per
-		// dimension, which is what makes M-steps feasible at paper-scale M
-		// (and is the same code path the out-of-core sharded fit drives).
-		return m.mStepStream(ctx, memEvents{seq}, conf, stats)
-	}
-	norms, initStep := m.mstepSetup(stats)
-	err := parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
-		d := m.buildDimData(seq, conf, i, true)
-		norm := m.optimizeDim(i, d, conf, initStep, norms != nil)
-		if norms != nil {
-			norms[i] = norm
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	m.mstepReduce(stats, norms)
-	return nil
-}
-
-// mstepSetup prepares one M-step pass: the per-dimension norm buffer (only
-// when the pass is measured) and the guard-scaled initial ascent step.
-func (m *Model) mstepSetup(stats *mstepStats) (norms []float64, initStep float64) {
+//
+// Linear links take the batched streaming builder over the source's
+// columns: one chronological pass per dimension batch instead of one
+// full-sequence pass per dimension, which is what makes M-steps feasible at
+// paper-scale M and out of core. Nonlinear links need Euler-grid windows,
+// which only the per-dimension builder over the in-memory sequence
+// assembles.
+func (m *Model) mStep(ctx context.Context, src eventSource, conf *conformity.Computer, stats *mstepStats) error {
+	var norms []float64
 	if stats != nil {
 		norms = make([]float64, m.M)
 		for i := range norms {
 			norms[i] = math.NaN()
 		}
 	}
-	initStep = 0.05
+	initStep := 0.05
 	if m.stepScale > 0 {
 		// Guard recoveries shrink the ascent step; 0 (a zero-value Model,
 		// e.g. one rebuilt by LoadModel) means "never recovered".
 		initStep *= m.stepScale
 	}
-	return norms, initStep
-}
-
-// mstepReduce folds the per-dimension norms into the pass measurement.
-func (m *Model) mstepReduce(stats *mstepStats, norms []float64) {
-	if stats == nil {
-		return
+	var err error
+	if _, linear := m.link.(hawkes.LinearLink); linear {
+		err = m.mStepBatches(ctx, src.columns(), conf, initStep, norms)
+	} else {
+		seq := src.sequence()
+		err = parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
+			d := m.buildDimData(seq, conf, i, true)
+			norm := m.optimizeDim(i, d, conf, initStep, norms != nil)
+			if norms != nil {
+				norms[i] = norm
+			}
+			return nil
+		})
+	}
+	if err != nil || stats == nil {
+		return err
 	}
 	stats.dims = m.M
 	stats.gradNorm = math.NaN()
@@ -466,30 +457,16 @@ func (m *Model) mstepReduce(stats *mstepStats, norms []float64) {
 			stats.gradNorm = v
 		}
 	}
-}
-
-// mStepStream is the linear-link M-step over any event source: the batched
-// streaming builder plus the measurement wrapper. Both the in-memory fit
-// (wrapping its training sequence) and the sharded fit (wrapping its flat
-// colstore columns) land here, so the two drivers share every float the
-// M-step produces.
-func (m *Model) mStepStream(ctx context.Context, src eventSource, conf *conformity.Computer, stats *mstepStats) error {
-	norms, initStep := m.mstepSetup(stats)
-	if err := m.mStepBatches(ctx, src, conf, initStep, norms); err != nil {
-		return err
-	}
-	m.mstepReduce(stats, norms)
 	return nil
 }
 
 // optimizeDim runs the per-dimension optimizer stage on prepared dimData:
 // pack, box bounds, projected-gradient ascent, damped blend, fault-injection
-// hook, unpack. It is the shared tail of every M-step flavor (per-dim
-// in-memory, batched in-memory, sharded out-of-core) — the builders differ
-// in how they assemble d, never in what happens to it, which is half the
-// bit-identity argument for the batched paths. Returns the measured
-// projected-gradient norm when wantNorm (NaN when the optimizer failed and
-// the dimension kept its parameters).
+// hook, unpack. It is the shared tail of both M-step builders (per-dim and
+// batched) — they differ in how they assemble d, never in what happens to
+// it, which is half the bit-identity argument for the batched path. Returns
+// the measured projected-gradient norm when wantNorm (NaN when the optimizer
+// failed and the dimension kept its parameters).
 func (m *Model) optimizeDim(i int, d *dimData, conf *conformity.Computer, initStep float64, wantNorm bool) float64 {
 	x0 := m.pack(i)
 	lower, upper := m.bounds(i)

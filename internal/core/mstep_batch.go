@@ -6,7 +6,6 @@ import (
 	"chassis/internal/conformity"
 	"chassis/internal/kernel"
 	"chassis/internal/parallel"
-	"chassis/internal/timeline"
 )
 
 // mstepBatchDims caps how many dimensions one batched M-step pass assembles
@@ -31,29 +30,6 @@ var mstepBatchDims = 2048
 // is purely a memory knob. (A variable only so tests can exercise packing.)
 var mstepBatchSrcEvents = int64(4 << 20)
 
-// eventSource is the event stream a batched M-step scans: chronological
-// (time, user) pairs, re-scannable once per dimension batch. The in-memory
-// fit wraps the training sequence; the sharded fit wraps a colstore reader,
-// which is the whole point — the M-step only ever needs one pass of times
-// and users, never the corpus in memory.
-type eventSource interface {
-	horizon() float64
-	scan(fn func(t float64, user int)) error
-}
-
-// memEvents adapts an in-memory sequence to eventSource.
-type memEvents struct{ seq *timeline.Sequence }
-
-func (s memEvents) horizon() float64 { return s.seq.Horizon }
-
-func (s memEvents) scan(fn func(t float64, user int)) error {
-	for k := range s.seq.Activities {
-		a := &s.seq.Activities[k]
-		fn(a.Time, int(a.User))
-	}
-	return nil
-}
-
 // dimSrcRef marks that user j is a source for one batch slot.
 type dimSrcRef struct {
 	slot int32 // index into the batch's slot array
@@ -72,7 +48,7 @@ type slotState struct {
 // across batches so an M-step allocates them once. Entries are reset to
 // their empty state after every batch.
 type batchScratch struct {
-	slotOf  []int32     // user -> batch slot, -1 outside the batch
+	slotOf  []int32       // user -> batch slot, -1 outside the batch
 	srcRefs [][]dimSrcRef // user -> slots listing it as a source
 }
 
@@ -85,7 +61,7 @@ func newBatchScratch(m int) *batchScratch {
 }
 
 // buildDimDataBatch assembles dimData for dimensions [lo, hi) with ONE
-// chronological scan of the event stream. The result is element-wise
+// chronological scan of the event columns. The result is element-wise
 // identical to calling buildDimData per dimension (same source events, same
 // window entries, same kernel evaluations in the same order —
 // TestBatchBuilderMatchesPerDim pins this), so the optimizer sees the same
@@ -96,13 +72,13 @@ func newBatchScratch(m int) *batchScratch {
 // prunes with; since scan times are nondecreasing, pruned sources stay
 // prunable. Grid windows (nonlinear links) are out of scope — nonlinear fits
 // keep the per-dim builder.
-func (m *Model) buildDimDataBatch(src eventSource, conf *conformity.Computer, lo, hi int, scr *batchScratch) ([]*dimData, error) {
+func (m *Model) buildDimDataBatch(cols *eventCols, conf *conformity.Computer, lo, hi int, scr *batchScratch) []*dimData {
 	if scr == nil {
 		scr = newBatchScratch(m.M)
 	}
 	l := m.layout()
 	needAN := l.conformityAware && l.useNormative
-	T := src.horizon()
+	T := cols.horizon
 	slots := make([]*slotState, hi-lo)
 	for i := lo; i < hi; i++ {
 		s := int32(i - lo)
@@ -117,7 +93,8 @@ func (m *Model) buildDimDataBatch(src eventSource, conf *conformity.Computer, lo
 		}
 	}
 
-	err := src.scan(func(t float64, j int) {
+	for k, t := range cols.times {
+		j := int(cols.users[k])
 		// Target window first: the per-dim builder only admits sources
 		// strictly before the target event, so an event that is both a
 		// target and a source contributes to later windows only.
@@ -150,38 +127,31 @@ func (m *Model) buildDimDataBatch(src eventSource, conf *conformity.Computer, lo
 			}
 			st.d.src = append(st.d.src, e)
 		}
-	})
-	// Reset the shared per-user indexes before handling errors so a failed
-	// batch leaves the scratch clean for the next one.
+	}
+	// Reset the shared per-user indexes so the next batch starts clean.
 	for i := lo; i < hi; i++ {
 		scr.slotOf[i] = -1
 		for _, j := range m.sources[i] {
 			scr.srcRefs[j] = scr.srcRefs[j][:0]
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*dimData, hi-lo)
 	for s := range slots {
 		out[s] = slots[s].d
 	}
-	return out, nil
+	return out
 }
 
 // mStepBatches is the linear-link M-step: dimensions are processed in fixed
 // batches, each assembled by one scan via buildDimDataBatch, then optimized
 // in parallel. Batches run sequentially, so peak memory is one batch of
-// dimData — the property the out-of-core sharded fit relies on — while the
+// dimData — the property the out-of-core fit relies on — while the
 // per-dimension optimization stays deterministic at any worker count or
 // batch size.
-func (m *Model) mStepBatches(ctx context.Context, src eventSource, conf *conformity.Computer, initStep float64, norms []float64) error {
+func (m *Model) mStepBatches(ctx context.Context, cols *eventCols, conf *conformity.Computer, initStep float64, norms []float64) error {
 	scr := newBatchScratch(m.M)
 	workers := parallel.Workers(m.cfg.Workers)
-	cost, err := m.dimSrcCosts(src)
-	if err != nil {
-		return err
-	}
+	cost := m.dimSrcCosts(cols)
 	for lo := 0; lo < m.M; {
 		hi := lo + 1
 		budget := cost[lo]
@@ -189,11 +159,8 @@ func (m *Model) mStepBatches(ctx context.Context, src eventSource, conf *conform
 			budget += cost[hi]
 			hi++
 		}
-		data, err := m.buildDimDataBatch(src, conf, lo, hi, scr)
-		if err != nil {
-			return err
-		}
-		err = parallel.DoContext(ctx, workers, hi-lo, func(bi int) error {
+		data := m.buildDimDataBatch(cols, conf, lo, hi, scr)
+		err := parallel.DoContext(ctx, workers, hi-lo, func(bi int) error {
 			i := lo + bi
 			norm := m.optimizeDim(i, data[bi], conf, initStep, norms != nil)
 			if norms != nil {
@@ -212,11 +179,11 @@ func (m *Model) mStepBatches(ctx context.Context, src eventSource, conf *conform
 // dimSrcCosts counts, per dimension, how many source events its batch slot
 // will hold: the summed event counts of its source users (plus one so an
 // empty dimension still has positive cost and the packing loop advances).
-// One flat counting scan of the stream; exact, not an estimate.
-func (m *Model) dimSrcCosts(src eventSource) ([]int64, error) {
+// One flat counting pass over the user column; exact, not an estimate.
+func (m *Model) dimSrcCosts(cols *eventCols) []int64 {
 	perUser := make([]int64, m.M)
-	if err := src.scan(func(_ float64, j int) { perUser[j]++ }); err != nil {
-		return nil, err
+	for _, j := range cols.users {
+		perUser[j]++
 	}
 	cost := make([]int64, m.M)
 	for i := range cost {
@@ -226,5 +193,5 @@ func (m *Model) dimSrcCosts(src eventSource) ([]int64, error) {
 		}
 		cost[i] = c
 	}
-	return cost, nil
+	return cost
 }

@@ -39,10 +39,7 @@ func TestBatchBuilderMatchesPerDim(t *testing.T) {
 				defer func() { mstepBatchDims = old }()
 				for lo := 0; lo < m.M; lo += span {
 					hi := min(lo+span, m.M)
-					got, err := m.buildDimDataBatch(memEvents{work}, conf, lo, hi, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := m.buildDimDataBatch(seqColumns(work), conf, lo, hi, nil)
 					for bi, g := range got {
 						i := lo + bi
 						want := m.buildDimData(work, conf, i, false)
@@ -85,7 +82,7 @@ func TestBatchedMStepMatchesPerDimOptimizer(t *testing.T) {
 		defer func() { mstepBatchDims = old }()
 		snap := m.snapshotState(nil)
 		defer m.restoreState(snap)
-		if err := m.mStepBatches(context.Background(), memEvents{work}, nil, 0.05, nil); err != nil {
+		if err := m.mStepBatches(context.Background(), seqColumns(work), nil, 0.05, nil); err != nil {
 			t.Fatal(err)
 		}
 		return paramsCopy(m)
@@ -108,7 +105,7 @@ func TestBatchedMStepMatchesPerDimOptimizer(t *testing.T) {
 		defer func() { mstepBatchSrcEvents = old }()
 		snap := m.snapshotState(nil)
 		defer m.restoreState(snap)
-		if err := m.mStepBatches(context.Background(), memEvents{work}, nil, 0.05, nil); err != nil {
+		if err := m.mStepBatches(context.Background(), seqColumns(work), nil, 0.05, nil); err != nil {
 			t.Fatal(err)
 		}
 		return paramsCopy(m)
@@ -140,9 +137,7 @@ func TestBatchScratchResets(t *testing.T) {
 	}
 	work := d.Seq.StripParents()
 	scr := newBatchScratch(m.M)
-	if _, err := m.buildDimDataBatch(memEvents{work}, nil, 0, m.M, scr); err != nil {
-		t.Fatal(err)
-	}
+	m.buildDimDataBatch(seqColumns(work), nil, 0, m.M, scr)
 	for i, s := range scr.slotOf {
 		if s != -1 {
 			t.Fatalf("slotOf[%d] = %d after batch; want -1", i, s)

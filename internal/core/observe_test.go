@@ -151,17 +151,31 @@ func TestFitContextPreCancelled(t *testing.T) {
 	d := smallDataset(t, 92)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := quickCfg(VariantL)
-	m, err := FitContext(ctx, d.Seq, cfg)
-	if m != nil {
-		t.Fatal("cancelled fit must not return partial state")
+	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 500))
+	fits := map[string]func() (*Model, error){
+		"in-memory": func() (*Model, error) {
+			return FitContext(ctx, d.Seq, quickCfg(VariantL))
+		},
+		"sharded": func() (*Model, error) {
+			cfg := quickCfg(VariantL)
+			cfg.FixedKernel = true
+			return FitSharded(ctx, rd, cfg)
+		},
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled in the chain", err)
-	}
-	var ce *CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %T, want *CanceledError", err)
+	for name, run := range fits {
+		t.Run(name, func(t *testing.T) {
+			m, err := run()
+			if m != nil {
+				t.Fatal("cancelled fit must not return partial state")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled in the chain", err)
+			}
+			var ce *CanceledError
+			if !errors.As(err, &ce) {
+				t.Fatalf("got %T, want *CanceledError", err)
+			}
+		})
 	}
 }
 

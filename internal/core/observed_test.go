@@ -62,7 +62,7 @@ func TestSupportHeuristic(t *testing.T) {
 			ID: timeline.ActivityID(i), Time: float64(i) * 1.0, Parent: timeline.NoParent,
 		})
 	}
-	got := supportHeuristic(s)
+	got := supportHeuristic(seqColumns(s))
 	if got < 15 || got > 30 {
 		t.Errorf("uniform-stream support = %g, want ~20", got)
 	}
@@ -81,13 +81,13 @@ func TestSupportHeuristic(t *testing.T) {
 		}
 		tm += 50
 	}
-	got = supportHeuristic(b)
+	got = supportHeuristic(seqColumns(b))
 	if got <= 2.1 {
 		t.Errorf("bursty-stream support = %g, must exceed the intra-burst scale", got)
 	}
 	// Degenerate inputs fall back to Horizon/10.
 	empty := &timeline.Sequence{M: 1, Horizon: 100}
-	if got := supportHeuristic(empty); got != 10 {
+	if got := supportHeuristic(seqColumns(empty)); got != 10 {
 		t.Errorf("empty-stream support = %g, want horizon/10", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"chassis/internal/conformity"
 	"chassis/internal/faultinject"
 	"chassis/internal/guard"
+	"chassis/internal/obs"
 	"chassis/internal/timeline"
 )
 
@@ -367,7 +369,8 @@ func TestShardedRejectsForeignCheckpoint(t *testing.T) {
 }
 
 // TestShardedModelGuardsSequenceMethods: the sharded model carries no
-// training sequence; methods that re-read it must error, not panic.
+// training sequence; methods that re-read it must error (or, for
+// EstimatedInfluence on a conformity model, return nil), not panic.
 func TestShardedModelGuardsSequenceMethods(t *testing.T) {
 	d := smallDataset(t, 47)
 	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 500))
@@ -380,5 +383,159 @@ func TestShardedModelGuardsSequenceMethods(t *testing.T) {
 	}
 	if _, err := m.HeldOutLogLikelihood(d.Seq); err == nil {
 		t.Error("HeldOutLogLikelihood on a sharded model must error")
+	}
+
+	confCfg := quickCfg(VariantL)
+	confCfg.FixedKernel = true
+	cm, err := FitSharded(context.Background(), rd, confCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cm.EstimatedInfluence(); got != nil {
+		t.Errorf("EstimatedInfluence on a sharded CHASSIS-L model = %d rows, want nil", len(got))
+	}
+}
+
+// TestShardedCancellationFlushesCheckpoint is the SIGTERM path of the
+// out-of-core driver: cooperative cancellation after iteration 2 returns a
+// *CanceledError and flushes that iteration even though the stride would
+// not have written it, and a resume under a different worker count and
+// shard size completes fingerprint-equal to an uninterrupted run.
+func TestShardedCancellationFlushesCheckpoint(t *testing.T) {
+	forceSmallChunks(t, 48)
+	d := smallDataset(t, 77)
+	cfg := quickCfg(VariantL)
+	cfg.FixedKernel = true
+	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 300))
+
+	base, err := FitSharded(context.Background(), rd, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base.Fingerprint()
+
+	dir := t.TempDir()
+	cc := cfg
+	cc.CheckpointDir = dir
+	cc.CheckpointEvery = 100 // stride never fires: only the flush-on-exit can write
+	cc.Workers = 2
+	cc.ShardEvents = 100
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obsv := &cancelAfterIter{at: 2, cancel: cancel}
+	_, err = FitSharded(ctx, rd, cc, WithObserver(obsv))
+	var ce *CanceledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("cancelled sharded fit: got %v, want *CanceledError", err)
+	}
+
+	env, err := checkpoint.Load(CheckpointPath(dir), "chassis-em")
+	if err != nil {
+		t.Fatalf("cancellation did not flush a checkpoint: %v", err)
+	}
+	if env.Iteration != 2 {
+		t.Fatalf("flushed checkpoint holds iteration %d, want 2", env.Iteration)
+	}
+
+	cc.Resume = true
+	cc.Workers = 1
+	cc.ShardEvents = 1
+	m, err := FitSharded(context.Background(), rd, cc)
+	if err != nil {
+		t.Fatalf("resume after cancellation: %v", err)
+	}
+	if got := m.Fingerprint(); got != want {
+		t.Errorf("resumed sharded fingerprint %s, uninterrupted %s", got, want)
+	}
+}
+
+// TestShardedObserverMetricsParity fits CHASSIS-L through both entry
+// points with an observer and a metrics registry attached. The callback
+// streams must agree field for field except wall-clock times and the
+// fields only training-LL evaluation fills (FitSharded never evaluates it),
+// and the M-step, E-step and conformity-build timers must count the same
+// number of passes.
+func TestShardedObserverMetricsParity(t *testing.T) {
+	forceSmallChunks(t, 48)
+	forceRefreshEvery(t, 2)
+	d := smallDataset(t, 52)
+	cfg := quickCfg(VariantL)
+	cfg.FixedKernel = true
+	cfg.EMIters = 5
+
+	memObs, memReg := &obs.CollectObserver{}, obs.NewMetrics()
+	ref, err := FitContext(context.Background(), d.Seq, cfg, WithObserver(memObs), WithMetrics(memReg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 200))
+	shObs, shReg := &obs.CollectObserver{}, obs.NewMetrics()
+	c := cfg
+	c.ShardEvents = 100
+	m, err := FitSharded(context.Background(), rd, c, WithObserver(shObs), WithMetrics(shReg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Fingerprint(), ref.Fingerprint(); got != want {
+		t.Fatalf("sharded fingerprint %s, in-memory %s", got, want)
+	}
+
+	if !reflect.DeepEqual(shObs.Starts, memObs.Starts) {
+		t.Errorf("OnIterStart: sharded %v, in-memory %v", shObs.Starts, memObs.Starts)
+	}
+	if len(memObs.EForms) == 0 {
+		t.Fatal("the fixture ran no observed E-step")
+	}
+	untimeE := func(in []obs.EStepStats) []obs.EStepStats {
+		out := append([]obs.EStepStats(nil), in...)
+		for i := range out {
+			out[i].Seconds = 0
+		}
+		return out
+	}
+	if got, want := untimeE(shObs.EForms), untimeE(memObs.EForms); !reflect.DeepEqual(got, want) {
+		t.Errorf("OnEStep: sharded %+v, in-memory %+v", got, want)
+	}
+	untimeM := func(in []obs.MStepStats) []obs.MStepStats {
+		out := append([]obs.MStepStats(nil), in...)
+		for i := range out {
+			out[i].Seconds, out[i].KernelSeconds = 0, 0
+		}
+		return out
+	}
+	if got, want := untimeM(shObs.MForms), untimeM(memObs.MForms); !reflect.DeepEqual(got, want) {
+		t.Errorf("OnMStep: sharded %+v, in-memory %+v", got, want)
+	}
+	// Wall-clock fields, plus the ones the in-memory side's training-LL
+	// evaluation fills (its compensator is what advances EulerSteps).
+	untimeIter := func(in []obs.IterStats) []obs.IterStats {
+		out := append([]obs.IterStats(nil), in...)
+		for i := range out {
+			out[i].Seconds, out[i].EStepSeconds, out[i].MStepSeconds = 0, 0, 0
+			out[i].KernelSeconds, out[i].LLSeconds = 0, 0
+			out[i].TrainLL, out[i].TrainLLValid, out[i].EulerSteps = 0, false, 0
+		}
+		return out
+	}
+	if got, want := untimeIter(shObs.Iters), untimeIter(memObs.Iters); !reflect.DeepEqual(got, want) {
+		t.Errorf("OnIterEnd: sharded %+v, in-memory %+v", got, want)
+	}
+	for _, it := range shObs.Iters {
+		if it.TrainLLValid {
+			t.Errorf("iteration %d: a sharded fit reported a training LL", it.Iter)
+		}
+	}
+	if len(shObs.Recoveries) != 0 || len(memObs.Recoveries) != 0 {
+		t.Errorf("unguarded fits reported recoveries: sharded %d, in-memory %d", len(shObs.Recoveries), len(memObs.Recoveries))
+	}
+
+	memT, shT := memReg.Snapshot().Timers, shReg.Snapshot().Timers
+	for _, name := range []string{"core.mstep", "core.estep", "core.conformity"} {
+		if memT[name].Count == 0 {
+			t.Errorf("%s: the in-memory fit recorded no passes", name)
+		}
+		if shT[name].Count != memT[name].Count {
+			t.Errorf("%s: sharded %d passes, in-memory %d", name, shT[name].Count, memT[name].Count)
+		}
 	}
 }
