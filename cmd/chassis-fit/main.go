@@ -239,8 +239,7 @@ func run(sess *cliobs.Session, f fitFlags) error {
 // shardedStrategies maps the -strategy names the out-of-core driver accepts
 // to their core variants: the L-HP baseline plus the linear-link conformity
 // family (the conformity pair history is rebuilt per refresh from a
-// streaming colstore scan). Nonlinear links and nonparametric kernels stay
-// in-memory only.
+// streaming colstore scan). Nonlinear links stay in-memory only.
 var shardedStrategies = map[string]core.Variant{
 	"L-HP":       core.VariantLHP,
 	"CHASSIS-L":  core.VariantL,
@@ -260,7 +259,7 @@ var shardedStrategies = map[string]core.Variant{
 func runSharded(sess *cliobs.Session, f fitFlags) error {
 	variant, ok := shardedStrategies[f.strategy]
 	if !ok {
-		return fmt.Errorf("sharded fits support -strategy L-HP, CHASSIS-L, CHASSIS-LI, or CHASSIS-LN (got %s): nonlinear links and nonparametric kernels need the full sequence in memory", f.strategy)
+		return fmt.Errorf("sharded fits support -strategy L-HP, CHASSIS-L, CHASSIS-LI, or CHASSIS-LN (got %s): nonlinear links need the full sequence in memory", f.strategy)
 	}
 	if f.guard {
 		return errors.New("sharded fits do not support -guard (its likelihood regression check needs the full sequence)")

@@ -389,6 +389,17 @@ func (e excitation) Alpha(i, j int, t float64) float64 {
 	return a
 }
 
+// excites reports whether row i's excitation parameters toward j are nonzero
+// under the variant's enabled channels: the only pairs where Alpha can be
+// nonzero, stale entries outside m.sources[i] included.
+func (m *Model) excites(i, j int) bool {
+	if !m.Variant.ConformityAware {
+		return m.Alpha[i][j] != 0
+	}
+	return m.Variant.UseInformational && m.GammaI[i][j] != 0 ||
+		m.Variant.UseNormative && m.GammaN[i][j] != 0
+}
+
 // SetWorkers retunes the parallelism of subsequent operations on the model
 // (InferForest, likelihood evaluations): n <= 0 restores the GOMAXPROCS
 // default. Results are unaffected — only wall-clock changes — so a model

@@ -329,7 +329,7 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 		metrics.Timer("core.mstep").Add(msDur)
 		if !cfg.FixedKernel {
 			kStart := time.Now()
-			if err = m.updateKernels(ctx, seq, conf); err != nil {
+			if err = m.updateKernels(ctx, cols, conf); err != nil {
 				err = wrapCancel("kernels", iterNo, err)
 				return
 			}

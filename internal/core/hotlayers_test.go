@@ -1,0 +1,671 @@
+package core
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math"
+	"math/cmplx"
+	"slices"
+	"testing"
+
+	"chassis/internal/branching"
+	"chassis/internal/cascade"
+	"chassis/internal/conformity"
+	"chassis/internal/dft"
+	"chassis/internal/hawkes"
+	"chassis/internal/infer"
+	"chassis/internal/kernel"
+	"chassis/internal/parallel"
+	"chassis/internal/rng"
+	"chassis/internal/timeline"
+)
+
+// The fit's two hot layers, the spectral kernel pass and the HP baselines'
+// M-step objective, are pinned here bit for bit against reference copies of
+// the straightforward implementations they replaced. The kernel reference
+// bins with Sequence.CountingProcess, asks excitation.Alpha about every
+// event and advances one event per sweep of the phase recurrence; the
+// objective reference refreshes a per-source-event weight on every call for
+// every variant.
+
+// refUpdateKernels is the reference kernel pass over a whole sequence.
+func (m *Model) refUpdateKernels(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer) error {
+	const fftBins = 256
+	const tikhonov = 1e-3
+	exc := excitation{m: m, conf: conf}
+	T := seq.Horizon
+	delta := T / fftBins
+	taps := int(math.Ceil(m.cfg.KernelSupport / delta))
+	if taps < 2 {
+		taps = 2
+	}
+	if taps > fftBins/2 {
+		taps = fftBins / 2
+	}
+
+	return parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
+		counts := seq.CountingProcess(timeline.UserID(i), fftBins)
+		var total float64
+		for _, c := range counts {
+			total += c
+		}
+		if total < 4 {
+			return nil // not enough signal to estimate a kernel for i
+		}
+		lam := dft.ForwardReal(counts)
+
+		// Excitation train of dimension i in bin units.
+		denom := make([]complex128, fftBins)
+		fpmu := m.link.Deriv(m.Mu[i])
+		var alphaMass float64
+		for k := range seq.Activities {
+			a := &seq.Activities[k]
+			alpha := exc.Alpha(i, int(a.User), a.Time)
+			if alpha <= 0 {
+				continue
+			}
+			alphaMass += alpha
+			pos := a.Time / delta
+			// e^{−jωₙ·pos} for ωₙ = 2πn/N, built by repeated
+			// multiplication instead of per-bin trig.
+			step := cmplx.Rect(1, -2*math.Pi*pos/fftBins)
+			w := complex(alpha, 0)
+			for n := 0; n < fftBins; n++ {
+				denom[n] += w
+				w *= step
+			}
+		}
+		if alphaMass <= 0 || fpmu <= 0 {
+			return nil
+		}
+		// DC correction (Eq. 7.7): remove the expected exogenous count.
+		lam[0] -= complex(m.link.Apply(m.Mu[i])*T, 0)
+
+		var maxD float64
+		for n := range denom {
+			denom[n] *= complex(fpmu, 0)
+			if a := cmplx.Abs(denom[n]); a > maxD {
+				maxD = a
+			}
+		}
+		if maxD == 0 {
+			return nil
+		}
+		eps := tikhonov * maxD * maxD
+		phiF := make([]complex128, fftBins)
+		for n := range phiF {
+			d := denom[n]
+			phiF[n] = lam[n] * cmplx.Conj(d) / complex(real(d)*real(d)+imag(d)*imag(d)+eps, 0)
+		}
+		phiT := dft.Inverse(phiF)
+
+		values := make([]float64, taps)
+		for k := 0; k < taps; k++ {
+			v := real(phiT[k])
+			if v < 0 || math.IsNaN(v) {
+				v = 0
+			}
+			values[k] = v
+		}
+		est, err := kernel.NewDiscrete(delta, values)
+		if err != nil || est.Mass() <= 0 {
+			return nil
+		}
+		est.Normalize()
+
+		// Damped blend with the previous kernel on the same grid.
+		blended := make([]float64, taps)
+		d := m.cfg.KernelDamping
+		for k := 0; k < taps; k++ {
+			t := float64(k) * delta
+			blended[k] = d*m.Kernels[i].Eval(t) + (1-d)*est.Eval(t)
+		}
+		nk, err := kernel.NewDiscrete(delta, blended)
+		if err != nil || nk.Mass() <= 0 {
+			return nil
+		}
+		nk.Normalize()
+		m.Kernels[i] = nk
+		return nil
+	})
+}
+
+// refObjective is the reference objective: one weight-refreshing body for
+// every variant.
+func (m *Model) refObjective(d *dimData, conf *conformity.Computer) infer.Objective {
+	l := m.layout()
+	_, linear := m.link.(hawkes.LinearLink)
+	// Scratch reused across calls (objectives run single-threaded within
+	// one dimension's optimization).
+	w := make([]float64, len(d.src))    // per-source-event excitation weight
+	aI := make([]float64, len(d.src))   // αᴵ at the source event (current β)
+	daI := make([]float64, len(d.src))  // ∂αᴵ/∂β
+	clamped := make([]bool, len(d.src)) // linear-link zero-clamp mask
+	srcs := m.sources[d.i]
+	var curs []conformity.GradCursor
+	if l.useInformational {
+		curs = make([]conformity.GradCursor, len(srcs))
+	}
+
+	return func(x, grad []float64) float64 {
+		mu := x[0]
+		if l.useInformational {
+			// One monotone αᴵ cursor per source slot: β is fixed for the
+			// whole evaluation and d.src is chronological, so each pair's
+			// interaction history is consumed once per objective call —
+			// O(history + events) — instead of rescanned per source event.
+			// The cursor is bit-identical to InformationalGrad at every
+			// query point, so the fitted floats don't depend on this path.
+			for s, j := range srcs {
+				curs[s] = conf.InformationalCursor(d.i, j, x[l.betaIdx(s)])
+			}
+		}
+		// Refresh per-source-event weights under the current parameters.
+		for idx := range d.src {
+			e := &d.src[idx]
+			var wt float64
+			clamped[idx] = false
+			if !l.conformityAware {
+				wt = x[l.alphaIdx(int(e.jIdx))]
+			} else {
+				if l.useInformational {
+					ai, dai := curs[e.jIdx].At(e.t)
+					aI[idx], daI[idx] = ai, dai
+					wt += x[l.gammaIIdx(int(e.jIdx))] * ai
+				}
+				if l.useNormative {
+					wt += x[l.gammaNIdx(int(e.jIdx))] * e.aN
+				}
+				// Mirror excitation.Alpha: linear-link clamp with zero
+				// subgradient while clamped.
+				if linear && wt < 0 {
+					wt = 0
+					clamped[idx] = true
+				}
+			}
+			w[idx] = wt
+		}
+		if grad != nil {
+			for i := range grad {
+				grad[i] = 0
+			}
+		}
+		var value float64
+
+		// Event term: Σ ln λ(t_k).
+		for _, win := range d.targets {
+			g := mu
+			for _, en := range win {
+				g += w[en.src] * en.phi
+			}
+			lam := m.link.Apply(g)
+			if lam < lambdaFloor {
+				lam = lambdaFloor
+			}
+			value += math.Log(lam)
+			if grad == nil {
+				continue
+			}
+			c := m.link.Deriv(g) / lam
+			grad[0] += c
+			for _, en := range win {
+				if clamped[en.src] {
+					continue
+				}
+				m.refAccumGrad(grad, l, d, en.src, c*en.phi, x, aI, daI)
+			}
+		}
+
+		// Compensator term.
+		if linear {
+			value -= math.Max(mu, 0) * d.T
+			if grad != nil {
+				grad[0] -= d.T
+			}
+			for idx := range d.src {
+				value -= w[idx] * d.src[idx].kInt
+				if grad != nil && !clamped[idx] {
+					m.refAccumGrad(grad, l, d, int32(idx), -d.src[idx].kInt, x, aI, daI)
+				}
+			}
+		} else {
+			for _, win := range d.grid {
+				g := mu
+				for _, en := range win {
+					g += w[en.src] * en.phi
+				}
+				lam := m.link.Apply(g)
+				value -= d.gridH * lam
+				if grad == nil {
+					continue
+				}
+				c := -d.gridH * m.link.Deriv(g)
+				grad[0] += c
+				for _, en := range win {
+					if clamped[en.src] {
+						continue
+					}
+					m.refAccumGrad(grad, l, d, en.src, c*en.phi, x, aI, daI)
+				}
+			}
+		}
+		return value
+	}
+}
+func (m *Model) refAccumGrad(grad []float64, l layout, d *dimData, e int32, scale float64, x, aI, daI []float64) {
+	s := int(d.src[e].jIdx)
+	if !l.conformityAware {
+		grad[l.alphaIdx(s)] += scale
+		return
+	}
+	if l.useInformational {
+		grad[l.gammaIIdx(s)] += scale * aI[e]
+		grad[l.betaIdx(s)] += scale * x[l.gammaIIdx(s)] * daI[e]
+	}
+	if l.useNormative {
+		grad[l.gammaNIdx(s)] += scale * d.src[e].aN
+	}
+}
+
+// refCase decodes one reference-test input into a corpus, a model on it and
+// the conformity snapshot the conformity variants read. data holds 4-byte
+// event records (user, time, polarity, parent): user b0 mod users, time
+// horizon·(b1/255), so 255 is exactly the horizon, polarity (b2−128)/128,
+// and a parent among the earlier events when b3 ≥ 64. The model gets the
+// co-occurrence sources and initParams; rows, when not empty, then
+// overwrites every (i, j) entry of the variant's matrices, cycling over its
+// bytes: byte 0 is an exact zero, any other b is (b−96)/320, so rows mix
+// zero, negative and positive entries inside and outside the sources. ok is
+// false when the input holds no event or the conformity build rejects it.
+func refCase(v Variant, users int, horizon, support float64, data, rows []byte) (m *Model, seq *timeline.Sequence, conf *conformity.Computer, ok bool) {
+	type rec struct {
+		a   timeline.Activity
+		par byte
+	}
+	var recs []rec
+	for k := 0; k+4 <= len(data); k += 4 {
+		recs = append(recs, rec{a: timeline.Activity{
+			User:     timeline.UserID(int(data[k]) % users),
+			Time:     horizon * (float64(data[k+1]) / 255),
+			Polarity: (float64(data[k+2]) - 128) / 128,
+			Parent:   timeline.NoParent,
+		}, par: data[k+3]})
+	}
+	if len(recs) == 0 {
+		return nil, nil, nil, false
+	}
+	slices.SortStableFunc(recs, func(a, b rec) int { return cmp.Compare(a.a.Time, b.a.Time) })
+	seq = &timeline.Sequence{M: users, Horizon: horizon, Activities: make([]timeline.Activity, len(recs))}
+	for k, r := range recs {
+		r.a.ID = timeline.ActivityID(k)
+		if r.par >= 64 && k > 0 {
+			r.a.Parent = timeline.ActivityID(int(r.par) % k)
+		}
+		seq.Activities[k] = r.a
+	}
+
+	cfg := quickCfg(v)
+	if err := cfg.fill(); err != nil {
+		panic(err)
+	}
+	cfg.KernelSupport = support
+	link, _ := cfg.Variant.Link()
+	m = &Model{
+		M: users, Variant: v, Horizon: horizon,
+		Mu:     make([]float64, users),
+		Alpha:  dense(users),
+		GammaI: dense(users), GammaN: dense(users), Beta: dense(users),
+		Kernels: make([]kernel.Kernel, users),
+		cfg:     cfg, link: link,
+	}
+	ker, _ := kernel.NewExponential(5 / support)
+	sampled, err := kernel.Sample(ker, support/24, 25)
+	if err != nil {
+		panic(err)
+	}
+	sampled.Normalize()
+	for i := range m.Kernels {
+		m.Kernels[i] = sampled
+	}
+	cols := seqColumns(seq)
+	m.sources = cooccurrenceSources(cols, support)
+	m.initParams(cols)
+	if len(rows) > 0 {
+		val := func(p int) float64 {
+			b := rows[p%len(rows)]
+			if b == 0 {
+				return 0
+			}
+			return (float64(b) - 96) / 320
+		}
+		for i := 0; i < users; i++ {
+			for j := 0; j < users; j++ {
+				p := 3 * (i*users + j)
+				m.Alpha[i][j] = val(p)
+				m.GammaI[i][j] = val(p + 1)
+				m.GammaN[i][j] = val(p + 2)
+				m.Beta[i][j] = 0.05 + float64(rows[(p+1)%len(rows)])/600
+			}
+		}
+	}
+	if v.ConformityAware {
+		forest, err := branching.FromSequence(seq)
+		if err != nil {
+			return nil, nil, nil, false
+		}
+		if conf, err = conformity.New(seq, forest, cfg.Conformity); err != nil {
+			return nil, nil, nil, false
+		}
+	}
+	return m, seq, conf, true
+}
+
+// kernelPassPair runs the column-driven pass and the reference pass from the
+// same starting kernels and returns both banks.
+func kernelPassPair(t testing.TB, m *Model, seq *timeline.Sequence, conf *conformity.Computer) (got, want []kernel.Kernel) {
+	t.Helper()
+	init := slices.Clone(m.Kernels)
+	defer func() { m.Kernels = init }()
+	errGot := m.updateKernels(context.Background(), seqColumns(seq), conf)
+	got = m.Kernels
+	m.Kernels = slices.Clone(init)
+	errWant := m.refUpdateKernels(context.Background(), seq, conf)
+	want = m.Kernels
+	if errGot != nil || errWant != nil {
+		t.Fatalf("kernel pass error %v, reference error %v", errGot, errWant)
+	}
+	return got, want
+}
+
+// kernelBitsDiff returns nil when both banks hold the same kernel objects or
+// discrete kernels equal bit for bit (step, values and cumulative table),
+// and the first difference otherwise.
+func kernelBitsDiff(got, want []kernel.Kernel) error {
+	for i := range want {
+		if got[i] == want[i] {
+			continue
+		}
+		g, ok1 := got[i].(*kernel.Discrete)
+		w, ok2 := want[i].(*kernel.Discrete)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("kernel %d: %v vs reference %v", i, got[i], want[i])
+		}
+		if math.Float64bits(g.Step) != math.Float64bits(w.Step) || len(g.Values) != len(w.Values) {
+			return fmt.Errorf("kernel %d: step %v/%d taps vs reference %v/%d", i, g.Step, len(g.Values), w.Step, len(w.Values))
+		}
+		for k := range w.Values {
+			if math.Float64bits(g.Values[k]) != math.Float64bits(w.Values[k]) {
+				return fmt.Errorf("kernel %d tap %d: %v vs reference %v", i, k, g.Values[k], w.Values[k])
+			}
+		}
+		gc, wc := g.CumTable(), w.CumTable()
+		for k := range wc {
+			if math.Float64bits(gc[k]) != math.Float64bits(wc[k]) {
+				return fmt.Errorf("kernel %d cumulative %d: %v vs reference %v", i, k, gc[k], wc[k])
+			}
+		}
+	}
+	return nil
+}
+
+var kernelPassVariants = []Variant{VariantLHP, VariantEHP, VariantL, VariantLI, VariantLN, VariantE}
+
+// TestKernelPassMatchesReference compares every kernel value of the
+// column-driven pass with the reference pass's, via math.Float64bits, on
+// random corpora. The corpora cover, and the test checks it covered: HP and
+// conformity variants, nonzero γ outside m.sources[i], negative CHASSIS-E α
+// (skipped by both passes), events at exactly the horizon on receivers with
+// enough events to estimate, users with no events, diagonal-only α rows, and
+// contributing-event counts that are not multiples of the sweep width.
+func TestKernelPassMatchesReference(t *testing.T) {
+	r := rng.New(23)
+	var cov struct{ estimated, horizon, idle, stale, negative, ragged, diagonal int }
+	for c := 0; c < 240; c++ {
+		v := kernelPassVariants[c%len(kernelPassVariants)]
+		users := 2 + r.Intn(7)
+		active := users - r.Intn(2) // users from active on have no events
+		horizon := 20 + r.Uniform(0, 400)
+		data := make([]byte, 4*(8+r.Intn(160)))
+		for k := 0; k < len(data); k += 4 {
+			data[k] = byte(r.Intn(active))
+			data[k+1] = byte(r.Intn(256))
+			data[k+2] = byte(r.Intn(256))
+			data[k+3] = byte(r.Intn(256))
+		}
+		if c%3 == 0 {
+			data[1] = 255 // an event at exactly the horizon
+		}
+		diagonal := !v.ConformityAware && c%4 == 0
+		rows := make([]byte, 3*users*users)
+		for p := range rows {
+			if r.Bernoulli(0.6) {
+				rows[p] = byte(1 + r.Intn(255))
+			}
+			if i, j := p/3/users, p/3%users; diagonal && i != j {
+				rows[p] = 0
+			}
+		}
+		m, seq, conf, ok := refCase(v, users, horizon, horizon*r.Uniform(0.02, 0.3), data, rows)
+		if !ok {
+			t.Fatalf("case %d: corpus rejected", c)
+		}
+		if diagonal {
+			m.sources = nil // as in TestUpdateKernelsRecoversDecayShape
+			cov.diagonal++
+		}
+		if active < users {
+			cov.idle++
+		}
+		got, want := kernelPassPair(t, m, seq, conf)
+		if err := kernelBitsDiff(got, want); err != nil {
+			t.Fatalf("case %d (%s, %d users, diagonal %v): %v", c, v.Name(), users, diagonal, err)
+		}
+
+		exc := excitation{m: m, conf: conf}
+		own := seq.CountByUser()
+		for i := 0; i < users; i++ {
+			if want[i] != m.Kernels[i] { // kernelPassPair restored the starting bank
+				cov.estimated++
+			}
+			if own[i] < 4 {
+				continue
+			}
+			for _, a := range seq.Activities {
+				if int(a.User) == i && a.Time == horizon {
+					cov.horizon++
+					break
+				}
+			}
+			in := map[int]bool{}
+			if !diagonal { // m.sources is nil
+				for _, j := range m.sources[i] {
+					in[j] = true
+				}
+			}
+			contrib := 0
+			for _, a := range seq.Activities {
+				alpha := exc.Alpha(i, int(a.User), a.Time)
+				switch {
+				case alpha < 0 && v.ConformityAware:
+					cov.negative++ // CHASSIS-E: the exp link keeps the sign
+				case alpha > 0 && v.ConformityAware && !in[int(a.User)]:
+					cov.stale++ // a γ entry outside the sources
+				}
+				if alpha > 0 {
+					contrib++
+				}
+			}
+			if contrib > 4 && contrib%4 != 0 {
+				cov.ragged++
+			}
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.estimated < 100 || cov.horizon == 0 || cov.idle == 0 || cov.stale == 0 ||
+		cov.negative == 0 || cov.ragged == 0 || cov.diagonal == 0 {
+		t.Fatalf("the corpora stopped covering a case: %+v", cov)
+	}
+}
+
+// TestObjectiveMatchesReference compares every objective value and gradient
+// component with the reference objective's, via math.Float64bits, for every
+// variant: the closed-form and the Euler-grid compensator, the static HP
+// objective and the conformity one (clamped negative weights included).
+func TestObjectiveMatchesReference(t *testing.T) {
+	variants := []Variant{VariantLHP, VariantEHP, VariantL, VariantLI, VariantLN, VariantE, VariantEI, VariantEN}
+	for vi, v := range variants {
+		t.Run(v.Name(), func(t *testing.T) {
+			r := rng.New(int64(41 + vi))
+			link, _ := v.Link()
+			_, linear := link.(hawkes.LinearLink)
+			evaluated := 0
+			for c := 0; c < 10; c++ {
+				users := 3 + r.Intn(6)
+				horizon := 50 + r.Uniform(0, 300)
+				data := make([]byte, 4*(20+r.Intn(120)))
+				for k := range data {
+					data[k] = byte(r.Intn(256))
+				}
+				m, seq, conf, ok := refCase(v, users, horizon, horizon*r.Uniform(0.05, 0.3), data, nil)
+				if !ok {
+					t.Fatalf("case %d: corpus rejected", c)
+				}
+				cols := seqColumns(seq)
+				for i := 0; i < users; i++ {
+					if len(m.sources[i]) == 0 {
+						continue
+					}
+					var d *dimData
+					if linear {
+						d = m.buildDimDataBatch(cols, conf, i, i+1, nil)[0]
+					} else {
+						d = m.buildDimData(seq, conf, i, true)
+					}
+					obj, ref := m.objective(d, conf), m.refObjective(d, conf)
+					lower, upper := m.bounds(i)
+					for trial := 0; trial < 6; trial++ {
+						x := m.pack(i)
+						if trial > 0 {
+							for p := range x {
+								x[p] = r.Uniform(lower[p], upper[p]/4)
+								if lower[p] == 0 && r.Bernoulli(0.2) {
+									x[p] = -r.Uniform(0, 0.5)
+								}
+							}
+						}
+						sameObjectiveBits(t, obj, ref, x)
+						evaluated++
+					}
+				}
+			}
+			if evaluated < 50 {
+				t.Fatalf("only %d evaluations", evaluated)
+			}
+		})
+	}
+}
+
+// sameObjectiveBits evaluates both objectives at x, without and with a
+// gradient, and fails t on the first differing bit.
+func sameObjectiveBits(t *testing.T, obj, ref infer.Objective, x []float64) {
+	t.Helper()
+	if got, want := obj(x, nil), ref(x, nil); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("value at %v: %v, reference %v", x, got, want)
+	}
+	g, w := make([]float64, len(x)), make([]float64, len(x))
+	for p := range g {
+		g[p], w[p] = math.NaN(), math.NaN() // stale gradients must be overwritten
+	}
+	got, want := obj(x, g), ref(x, w)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("value with gradient at %v: %v, reference %v", x, got, want)
+	}
+	for p := range g {
+		if math.Float64bits(g[p]) != math.Float64bits(w[p]) {
+			t.Fatalf("gradient[%d] at %v: %v, reference %v", p, x, g[p], w[p])
+		}
+	}
+}
+
+// FuzzKernelPass runs the column-driven kernel pass against the reference
+// pass on fuzzed small corpora and parameter rows (decoded by refCase).
+func FuzzKernelPass(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(99), uint8(20),
+		[]byte{0, 10, 200, 0, 1, 40, 90, 70, 0, 80, 128, 65, 2, 120, 30, 66, 0, 160, 250, 67, 1, 200, 0, 80, 0, 255, 140, 90, 2, 255, 60, 91},
+		[]byte{0, 130, 7, 200, 1, 255, 96, 40})
+	f.Add(uint8(2), uint8(4), uint8(150), uint8(40),
+		[]byte{0, 5, 10, 0, 1, 6, 250, 64, 2, 30, 128, 65, 3, 31, 1, 66, 0, 90, 90, 67, 1, 91, 200, 68, 2, 92, 60, 0, 0, 93, 40, 69, 1, 200, 220, 70, 0, 255, 128, 71},
+		[]byte{200, 20, 90, 0, 140, 180})
+	f.Add(uint8(5), uint8(2), uint8(9), uint8(63), []byte{0, 1, 2, 3, 0, 2, 3, 64, 0, 3, 4, 65, 0, 255, 5, 66, 1, 255, 6, 67}, []byte{1})
+	f.Fuzz(func(t *testing.T, variant, users, hz, support uint8, data, rows []byte) {
+		if len(data) > 4*200 {
+			data = data[:4*200]
+		}
+		horizon := 1 + float64(hz)
+		v := kernelPassVariants[int(variant)%len(kernelPassVariants)]
+		m, seq, conf, ok := refCase(v, 1+int(users%8), horizon, horizon*(1+float64(support%64))/128, data, rows)
+		if !ok {
+			t.Skip()
+		}
+		got, want := kernelPassPair(t, m, seq, conf)
+		if err := kernelBitsDiff(got, want); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestHPAlphaStaysOnSources is the HP half of the stale-parameter invariant:
+// after in-memory and sharded L-HP fits, no α outside m.sources[i] is
+// nonzero, so the kernel pass's nonzero-row walk visits exactly the
+// sources' events. The corpus has more users than MaxSourcesPerDim + 1, so
+// the sources are a strict subset of each row.
+func TestHPAlphaStaysOnSources(t *testing.T) {
+	forceSmallChunks(t, 48)
+	d, err := cascade.Generate(cascade.Config{
+		Name: "wide", M: 40, Horizon: 600, Seed: 5,
+		Graph: cascade.BarabasiAlbert, GraphDegree: 3, Reciprocity: 0.5,
+		Topics: 2, BaseRateLo: 0.01, BaseRateHi: 0.03,
+		KernelRate: 0.8, TargetBranching: 0.55,
+		ConformityWeight: 0.7, PolarityNoise: 0.15, LikeFraction: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg(VariantLHP)
+	mem, err := Fit(d.Seq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg
+	c.ShardEvents = 130
+	c.Workers = 2
+	sh, err := FitSharded(context.Background(), openCorpus(t, writeCorpusFile(t, d.Seq, 57)), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{"in-memory": mem, "sharded": sh} {
+		outside, nonzero := 0, 0
+		for i := range m.Alpha {
+			in := make([]bool, m.M)
+			for _, j := range m.sources[i] {
+				in[j] = true
+			}
+			for j, a := range m.Alpha[i] {
+				if a == 0 {
+					continue
+				}
+				nonzero++
+				if !in[j] {
+					t.Errorf("%s: Alpha[%d][%d] = %v outside the sources %v", name, i, j, a, m.sources[i])
+				}
+			}
+			if len(m.sources[i]) < m.M-1 {
+				outside++
+			}
+		}
+		if nonzero == 0 || outside == 0 {
+			t.Fatalf("%s: vacuous check (%d nonzero α, %d rows with users outside their sources)", name, nonzero, outside)
+		}
+	}
+}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"chassis/internal/conformity"
 	"chassis/internal/dft"
 	"chassis/internal/kernel"
 	"chassis/internal/parallel"
-	"chassis/internal/timeline"
 )
 
 // updateKernels is the nonparametric half of the M-step (Eqs. 7.5–7.8):
@@ -35,11 +35,20 @@ import (
 // fans out over the worker pool, polling ctx between dimensions. The
 // returned error only surfaces worker panics or cancellation; estimation
 // failures keep the previous kernel, as before.
-func (m *Model) updateKernels(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer) error {
+//
+// The pass reads the flat event columns, so it runs in memory and out of
+// core alike. Once per pass it indexes event positions by user and computes
+// every event's phase step; receiver i then bins only its own events and
+// walks, in global order, only the events of users its row excites (the
+// only events where excitation.Alpha can be nonzero). The recurrence
+// advances four events per sweep over the bins, adding them to each bin in
+// event order, so every float is the one a one-event-per-sweep pass over
+// all events computes (DESIGN.md §7, "Fit hot layers").
+func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *conformity.Computer) error {
 	const fftBins = 256
 	const tikhonov = 1e-3
 	exc := excitation{m: m, conf: conf}
-	T := seq.Horizon
+	T := cols.horizon
 	delta := T / fftBins
 	taps := int(math.Ceil(m.cfg.KernelSupport / delta))
 	if taps < 2 {
@@ -49,41 +58,72 @@ func (m *Model) updateKernels(ctx context.Context, seq *timeline.Sequence, conf 
 		taps = fftBins / 2
 	}
 
+	// byUser[off[j]:off[j+1]] are user j's event positions in
+	// chronological order.
+	off := make([]int32, m.M+1)
+	for _, u := range cols.users {
+		off[u+1]++
+	}
+	for j := 0; j < m.M; j++ {
+		off[j+1] += off[j]
+	}
+	byUser := make([]int32, len(cols.users))
+	next := slices.Clone(off[:m.M])
+	for k, u := range cols.users {
+		byUser[next[u]] = int32(k)
+		next[u]++
+	}
+	// e^{−jω₁·pos} per event, pos = t/delta in bin units: the factor that
+	// advances the event's phase from bin n to bin n+1.
+	steps := make([]complex128, len(cols.times))
+	for k, t := range cols.times {
+		pos := t / delta
+		steps[k] = cmplx.Rect(1, -2*math.Pi*pos/fftBins)
+	}
+
 	return parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
-		counts := seq.CountingProcess(timeline.UserID(i), fftBins)
-		var total float64
-		for _, c := range counts {
-			total += c
-		}
-		if total < 4 {
+		own := byUser[off[i]:off[i+1]]
+		if len(own) < 4 {
 			return nil // not enough signal to estimate a kernel for i
+		}
+		// Counting process of dimension i in fftBins slots; an event at
+		// the horizon falls in the last one.
+		counts := make([]float64, fftBins)
+		for _, k := range own {
+			b := int(cols.times[k] / delta)
+			if b >= fftBins {
+				b = fftBins - 1
+			}
+			counts[b]++
 		}
 		lam := dft.ForwardReal(counts)
 
-		// Excitation train of dimension i in bin units.
-		denom := make([]complex128, fftBins)
-		fpmu := m.link.Deriv(m.Mu[i])
+		// Excitation train of dimension i in bin units, over the events
+		// of the users row i excites, in global order.
+		var evs []int32
+		for j := 0; j < m.M; j++ {
+			if m.excites(i, j) {
+				evs = append(evs, byUser[off[j]:off[j+1]]...)
+			}
+		}
+		slices.Sort(evs)
+		contrib, ws := evs[:0], make([]float64, 0, len(evs))
 		var alphaMass float64
-		for k := range seq.Activities {
-			a := &seq.Activities[k]
-			alpha := exc.Alpha(i, int(a.User), a.Time)
+		for _, k := range evs {
+			alpha := exc.Alpha(i, int(cols.users[k]), cols.times[k])
 			if alpha <= 0 {
 				continue
 			}
 			alphaMass += alpha
-			pos := a.Time / delta
-			// e^{−jωₙ·pos} for ωₙ = 2πn/N, built by repeated
-			// multiplication instead of per-bin trig.
-			step := cmplx.Rect(1, -2*math.Pi*pos/fftBins)
-			w := complex(alpha, 0)
-			for n := 0; n < fftBins; n++ {
-				denom[n] += w
-				w *= step
-			}
+			contrib = append(contrib, k)
+			ws = append(ws, alpha)
 		}
+		fpmu := m.link.Deriv(m.Mu[i])
 		if alphaMass <= 0 || fpmu <= 0 {
 			return nil
 		}
+		denom := make([]complex128, fftBins)
+		addTrain(denom, contrib, ws, steps)
 		// DC correction (Eq. 7.7): remove the expected exogenous count.
 		lam[0] -= complex(m.link.Apply(m.Mu[i])*T, 0)
 
@@ -134,4 +174,39 @@ func (m *Model) updateKernels(ctx context.Context, seq *timeline.Sequence, conf 
 		m.Kernels[i] = nk
 		return nil
 	})
+}
+
+// addTrain adds Σₑ wₑ·stepₑⁿ into denom[n] for every bin n, over the events
+// evs (positions into steps) with weights ws. Each event's phasor is built by
+// repeated multiplication from wₑ, and every bin receives the events' terms
+// in the order of evs, so the sums are bit-identical to a pass that adds one
+// event per sweep over the bins; four events share a sweep only so their
+// independent multiply chains overlap in the pipeline.
+func addTrain(denom []complex128, evs []int32, ws []float64, steps []complex128) {
+	q := 0
+	for ; q+4 <= len(evs); q += 4 {
+		w0, s0 := complex(ws[q], 0), steps[evs[q]]
+		w1, s1 := complex(ws[q+1], 0), steps[evs[q+1]]
+		w2, s2 := complex(ws[q+2], 0), steps[evs[q+2]]
+		w3, s3 := complex(ws[q+3], 0), steps[evs[q+3]]
+		for n := range denom {
+			d := denom[n]
+			d += w0
+			w0 *= s0
+			d += w1
+			w1 *= s1
+			d += w2
+			w2 *= s2
+			d += w3
+			w3 *= s3
+			denom[n] = d
+		}
+	}
+	for ; q < len(evs); q++ {
+		w, s := complex(ws[q], 0), steps[evs[q]]
+		for n := range denom {
+			denom[n] += w
+			w *= s
+		}
+	}
 }

@@ -61,7 +61,7 @@ func TestUpdateKernelsRecoversDecayShape(t *testing.T) {
 	fk.Normalize()
 	m.Kernels[0], m.Kernels[1] = fk, fk
 
-	m.updateKernels(nil, seq, nil)
+	m.updateKernels(nil, seqColumns(seq), nil)
 
 	for i := 0; i < 2; i++ {
 		est, ok := m.Kernels[i].(*kernel.Discrete)
@@ -102,7 +102,7 @@ func TestUpdateKernelsDegenerateInputsAreSafe(t *testing.T) {
 		cfg:     cfg, link: link, seq: seq,
 	}
 	before := m.Kernels[0]
-	m.updateKernels(nil, seq, nil) // 2 events: below the signal threshold
+	m.updateKernels(nil, seqColumns(seq), nil) // 2 events: below the signal threshold
 	if m.Kernels[0] != before {
 		t.Error("kernel must be untouched with too few events")
 	}

@@ -253,8 +253,96 @@ func (m *Model) bounds(i int) (lower, upper []float64) {
 // parameters. For the linear link the compensator is closed-form; for
 // nonlinear links it is a fixed-grid Euler sum (the final reported
 // likelihoods use the adaptive Theorem 7.1 integrator via the hawkes
-// engine; the fixed grid keeps the inner loop fast).
+// engine; the fixed grid keeps the inner loop fast). The HP baselines take
+// staticObjective, the conformity-aware variants conformityObjective.
 func (m *Model) objective(d *dimData, conf *conformity.Computer) infer.Objective {
+	if !m.Variant.ConformityAware {
+		return m.staticObjective(d)
+	}
+	return m.conformityObjective(d, conf)
+}
+
+// staticObjective is the HP baselines' objective. Their excitation weight
+// αᵢⱼ depends only on the source slot, so every term reads α straight from
+// x and adds its gradient inline: no per-call weight refresh over the source
+// events, no clamp mask (HP weights are never clamped) and no accumGrad
+// call. Every value and gradient component is summed in the order the
+// weight-refreshing objective used, so each evaluation is bit-identical to
+// it (DESIGN.md §7, "Fit hot layers").
+func (m *Model) staticObjective(d *dimData) infer.Objective {
+	l := m.layout()
+	_, linear := m.link.(hawkes.LinearLink)
+	// slot[e] is the packed index of source event e's α.
+	slot := make([]int32, len(d.src))
+	for e := range d.src {
+		slot[e] = int32(l.alphaIdx(int(d.src[e].jIdx)))
+	}
+	return func(x, grad []float64) float64 {
+		mu := x[0]
+		if grad != nil {
+			clear(grad)
+		}
+		var value float64
+
+		// Event term: Σ ln λ(t_k).
+		for _, win := range d.targets {
+			g := mu
+			for _, en := range win {
+				g += x[slot[en.src]] * en.phi
+			}
+			lam := m.link.Apply(g)
+			if lam < lambdaFloor {
+				lam = lambdaFloor
+			}
+			value += math.Log(lam)
+			if grad == nil {
+				continue
+			}
+			c := m.link.Deriv(g) / lam
+			grad[0] += c
+			for _, en := range win {
+				grad[slot[en.src]] += c * en.phi
+			}
+		}
+
+		// Compensator term.
+		if linear {
+			value -= math.Max(mu, 0) * d.T
+			if grad != nil {
+				grad[0] -= d.T
+			}
+			for e := range d.src {
+				kInt := d.src[e].kInt
+				value -= x[slot[e]] * kInt
+				if grad != nil {
+					grad[slot[e]] += -kInt
+				}
+			}
+			return value
+		}
+		for _, win := range d.grid {
+			g := mu
+			for _, en := range win {
+				g += x[slot[en.src]] * en.phi
+			}
+			value -= d.gridH * m.link.Apply(g)
+			if grad == nil {
+				continue
+			}
+			c := -d.gridH * m.link.Deriv(g)
+			grad[0] += c
+			for _, en := range win {
+				grad[slot[en.src]] += c * en.phi
+			}
+		}
+		return value
+	}
+}
+
+// conformityObjective is the conformity-aware variants' objective: the
+// per-source-event weight w_e = γI·αᴵ(t_e; β) + γN·αᴺ(t_e) moves with β and
+// the γs, so each call refreshes it over the source events first.
+func (m *Model) conformityObjective(d *dimData, conf *conformity.Computer) infer.Objective {
 	l := m.layout()
 	_, linear := m.link.(hawkes.LinearLink)
 	// Scratch reused across calls (objectives run single-threaded within
@@ -286,31 +374,24 @@ func (m *Model) objective(d *dimData, conf *conformity.Computer) infer.Objective
 		for idx := range d.src {
 			e := &d.src[idx]
 			var wt float64
-			clamped[idx] = false
-			if !l.conformityAware {
-				wt = x[l.alphaIdx(int(e.jIdx))]
-			} else {
-				if l.useInformational {
-					ai, dai := curs[e.jIdx].At(e.t)
-					aI[idx], daI[idx] = ai, dai
-					wt += x[l.gammaIIdx(int(e.jIdx))] * ai
-				}
-				if l.useNormative {
-					wt += x[l.gammaNIdx(int(e.jIdx))] * e.aN
-				}
-				// Mirror excitation.Alpha: linear-link clamp with zero
-				// subgradient while clamped.
-				if linear && wt < 0 {
-					wt = 0
-					clamped[idx] = true
-				}
+			if l.useInformational {
+				ai, dai := curs[e.jIdx].At(e.t)
+				aI[idx], daI[idx] = ai, dai
+				wt += x[l.gammaIIdx(int(e.jIdx))] * ai
+			}
+			if l.useNormative {
+				wt += x[l.gammaNIdx(int(e.jIdx))] * e.aN
+			}
+			// Mirror excitation.Alpha: linear-link clamp with zero
+			// subgradient while clamped.
+			clamped[idx] = linear && wt < 0
+			if clamped[idx] {
+				wt = 0
 			}
 			w[idx] = wt
 		}
 		if grad != nil {
-			for i := range grad {
-				grad[i] = 0
-			}
+			clear(grad)
 		}
 		var value float64
 
@@ -375,14 +456,10 @@ func (m *Model) objective(d *dimData, conf *conformity.Computer) infer.Objective
 	}
 }
 
-// accumGrad adds scale·∂(w_e)/∂θ into the parameter gradient for source
-// event e (w_e = γI·αᴵ + γN·αᴺ, or α for HP baselines).
+// accumGrad adds scale·∂(w_e)/∂θ into the conformity parameter gradient for
+// source event e (w_e = γI·αᴵ + γN·αᴺ).
 func (m *Model) accumGrad(grad []float64, l layout, d *dimData, e int32, scale float64, x, aI, daI []float64) {
 	s := int(d.src[e].jIdx)
-	if !l.conformityAware {
-		grad[l.alphaIdx(s)] += scale
-		return
-	}
 	if l.useInformational {
 		grad[l.gammaIIdx(s)] += scale * aI[e]
 		grad[l.betaIdx(s)] += scale * x[l.gammaIIdx(s)] * daI[e]

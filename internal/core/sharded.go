@@ -20,9 +20,9 @@ import (
 // does not implement. FitSharded fails fast with one of these instead of
 // silently computing something different from FitContext: every feature it
 // does support is bit-identical to the in-memory fit, and features that
-// inherently need the whole sequence in memory (the training
-// log-likelihood, the nonparametric kernel update's spectral pass, the
-// nonlinear M-step's Euler grid) are rejected up front.
+// still need the in-memory sequence (the training log-likelihood, the
+// nonlinear M-step's Euler grid, observed trees' parent links) are rejected
+// up front.
 type ShardedUnsupportedError struct {
 	Feature string
 }
@@ -40,7 +40,6 @@ func unsupportedWithoutSequence(cfg Config) error {
 		return err
 	}
 	_, linear := link.(hawkes.LinearLink)
-	nonparametric := !cfg.FixedKernel && !cfg.ExpKernel
 	var feature string
 	switch {
 	case cfg.UseObservedTrees:
@@ -55,12 +54,6 @@ func unsupportedWithoutSequence(cfg Config) error {
 		feature = "conformity-aware variants with nonlinear links (Euler-grid compensators need the full sequence; use CHASSIS-L/LI/LN)"
 	case !linear:
 		feature = "nonlinear links"
-	case nonparametric && cfg.Variant.ConformityAware:
-		// The nonparametric update (Eqs. 7.5–7.8) DFTs whole counting
-		// processes per dimension — inherently a full-sequence pass.
-		feature = "conformity-aware variants with nonparametric kernel updates (the spectral pass needs the full sequence; set FixedKernel or ExpKernel)"
-	case nonparametric:
-		feature = "nonparametric kernel updates (set FixedKernel or ExpKernel)"
 	default:
 		return nil
 	}
@@ -187,16 +180,17 @@ func (s *shardSource) sequence() *timeline.Sequence { return nil }
 // FitSharded runs the EM fit out-of-core against a colstore corpus. It is
 // the EM loop of FitContext over a different event source: the E-step and
 // bootstrap walk the corpus shard-by-shard through halo-extended windows,
-// the M-step streams the (time, user) columns through the batched builder,
-// and peak memory is bounded by O(events)·12 bytes of flat columns plus one
-// shard of activity structs plus one dimension batch — never the
-// materialized corpus. The supported configuration subset — linear-link
-// variants, conformity-aware (CHASSIS-L/LI/LN) or not (L-HP/E-HP), with a
-// fixed or parametric-exponential kernel — is bit-identical to FitContext on
-// the equivalent in-memory sequence at every Workers and ShardEvents
-// setting; see DESIGN.md §15–§16 for the argument. Features that read the
-// in-memory sequence fail with *ShardedUnsupportedError before the corpus is
-// scanned.
+// the M-step and the nonparametric kernel pass read the (time, user)
+// columns, and peak memory is bounded by O(events)·12 bytes of flat columns
+// (plus 20 bytes per event while a kernel pass runs) plus one shard of
+// activity structs plus one dimension batch — never the materialized
+// corpus. The supported configuration subset — linear-link variants,
+// conformity-aware (CHASSIS-L/LI/LN) or not (L-HP), with a fixed,
+// parametric-exponential or nonparametric kernel — is bit-identical to
+// FitContext on the equivalent in-memory sequence at every Workers and
+// ShardEvents setting; see DESIGN.md §15–§16 for the argument. Features that
+// read the in-memory sequence fail with *ShardedUnsupportedError before the
+// corpus is scanned.
 //
 // Conformity-aware fits rebuild the pair-history computer from a streaming
 // colstore scan (times, users, polarities) once per conformity refresh,

@@ -13,6 +13,7 @@ import (
 	"chassis/internal/conformity"
 	"chassis/internal/faultinject"
 	"chassis/internal/guard"
+	"chassis/internal/kernel"
 	"chassis/internal/obs"
 	"chassis/internal/timeline"
 )
@@ -130,9 +131,11 @@ func TestShardedFitExpKernel(t *testing.T) {
 
 // TestShardedRejectsUnsupported pins the gate: every feature outside the
 // supported subset fails fast with *ShardedUnsupportedError carrying a
-// feature message specific enough to act on — in particular the two
-// remaining conformity combinations (nonlinear link, nonparametric kernel)
-// name themselves instead of hiding behind the generic baseline gates.
+// feature message specific enough to act on — in particular the remaining
+// conformity combination (nonlinear link) names itself instead of hiding
+// behind the generic baseline gate. Nonparametric kernels left the gate
+// when the kernel pass moved onto the columns; the identity suite
+// (TestShardedNonparametricMatchesInMemory) covers them now.
 func TestShardedRejectsUnsupported(t *testing.T) {
 	d := smallDataset(t, 44)
 	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 500))
@@ -146,8 +149,6 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 		{"observed-trees", func(c *Config) { c.UseObservedTrees = true }, "UseObservedTrees"},
 		{"track-history", func(c *Config) { c.TrackHistory = true }, "TrackHistory"},
 		{"guard", func(c *Config) { c.Guard = guard.Policy{Enabled: true} }, "numerical guard"},
-		{"nonparametric-kernels", func(c *Config) { c.FixedKernel = false }, "nonparametric kernel updates"},
-		{"conformity-nonparametric", func(c *Config) { c.Variant = VariantL; c.FixedKernel = false }, "conformity-aware variants with nonparametric kernel updates"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,6 +166,54 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := FitSharded(context.Background(), nil, shardableCfg()); err == nil {
 		t.Error("nil reader must fail")
+	}
+}
+
+// TestShardedNonparametricMatchesInMemory extends the identity contract to
+// nonparametric kernel updates, whose spectral pass reads the event
+// columns: L-HP and the linear conformity variants fitted by FitSharded
+// match Fit's fingerprint, and every re-estimated kernel bit for bit, at
+// every worker count × shard size.
+func TestShardedNonparametricMatchesInMemory(t *testing.T) {
+	forceSmallChunks(t, 48)
+	d := smallDataset(t, 52)
+	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 57))
+	n := rd.NumEvents()
+	for _, v := range []Variant{VariantLHP, VariantL, VariantLI, VariantLN} {
+		t.Run(v.Name(), func(t *testing.T) {
+			cfg := quickCfg(v)
+			ref, err := Fit(d.Seq, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Re-estimated kernels live on the pass's 256-bin grid.
+			estimated := 0
+			for _, k := range ref.Kernels {
+				if dk, ok := k.(*kernel.Discrete); ok && dk.Step == ref.Horizon/256 {
+					estimated++
+				}
+			}
+			if estimated == 0 {
+				t.Fatal("the in-memory fit re-estimated no kernel")
+			}
+			for _, workers := range []int{1, 2, 8} {
+				for _, shard := range []int{1, 130, n} {
+					c := cfg
+					c.Workers = workers
+					c.ShardEvents = shard
+					m, err := FitSharded(context.Background(), rd, c)
+					if err != nil {
+						t.Fatalf("workers=%d shard=%d: %v", workers, shard, err)
+					}
+					if got, want := m.Fingerprint(), ref.Fingerprint(); got != want {
+						t.Errorf("workers=%d shard=%d: fingerprint %s, in-memory %s", workers, shard, got, want)
+					}
+					if err := kernelBitsDiff(m.Kernels, ref.Kernels); err != nil {
+						t.Errorf("workers=%d shard=%d: %v", workers, shard, err)
+					}
+				}
+			}
+		})
 	}
 }
 

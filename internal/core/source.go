@@ -13,8 +13,8 @@ import (
 // live, never in which floats the loop computes from them.
 type eventSource interface {
 	// columns returns the chronological (time, user) columns: everything
-	// the kernel-support heuristic, the source rankings, initParams and the
-	// batched M-step read.
+	// the kernel-support heuristic, the source rankings, initParams, the
+	// batched M-step and the kernel pass read.
 	columns() *eventCols
 	// forEachWindow hands fn, one at a time, activity windows holding
 	// global events [off, off+len(win)) together with the chunks of the
@@ -28,9 +28,9 @@ type eventSource interface {
 	// never resumed against the other representation.
 	dataHash() string
 	// sequence returns the parent-stripped training sequence, or nil when
-	// the events are not in memory. The nonlinear M-step, the
-	// nonparametric kernel update and the training log-likelihood read it,
-	// so a source without one is gated by unsupportedWithoutSequence.
+	// the events are not in memory. The nonlinear M-step and the training
+	// log-likelihood read it, so a source without one is gated by
+	// unsupportedWithoutSequence.
 	sequence() *timeline.Sequence
 }
 

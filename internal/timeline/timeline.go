@@ -1,6 +1,6 @@
 // Package timeline defines the event model shared by every CHASSIS
-// component: timestamped social activities, per-user sequences, and the
-// counting-process view used by the nonparametric kernel estimator.
+// component: timestamped social activities, per-user sequences, and a
+// binned counting-process view of one user's activities.
 //
 // An Activity is one event of a multi-dimensional point process: dimension i
 // is the user U_i, and the activity carries an occurrence time, a kind
