@@ -57,7 +57,7 @@ func main() {
 	var f fitFlags
 	flag.StringVar(&f.in, "in", "", "input dataset (JSON or colstore from chassis-sim)")
 	flag.StringVar(&f.dataFormat, "data-format", "json", "input format: json or colstore (binary columnar corpus)")
-	flag.IntVar(&f.shardEvents, "shard-events", 0, "out-of-core fit: E-step shard size in events (0 = load the corpus in memory); requires -data-format colstore and -strategy L-HP or CHASSIS-L/LI/LN, results are bit-identical at any setting")
+	flag.IntVar(&f.shardEvents, "shard-events", 0, "out-of-core fit: E-step shard size in events (0 = load the corpus in memory); requires -data-format colstore and a CHASSIS/HP -strategy, results are bit-identical at any setting")
 	flag.StringVar(&f.strategy, "strategy", "CHASSIS-L", "strategy: "+strings.Join(experiments.AllStrategies, ", "))
 	flag.Float64Var(&f.split, "split", 0.7, "training fraction (0 < f < 1, or exactly 1 to train on the whole dataset with no held-out evaluation)")
 	flag.IntVar(&f.em, "em", 10, "EM iterations for the CHASSIS/HP family")
@@ -236,33 +236,21 @@ func run(sess *cliobs.Session, f fitFlags) error {
 	return nil
 }
 
-// shardedStrategies maps the -strategy names the out-of-core driver accepts
-// to their core variants: the L-HP baseline plus the linear-link conformity
-// family (the conformity pair history is rebuilt per refresh from a
-// streaming colstore scan). Nonlinear links stay in-memory only.
-var shardedStrategies = map[string]core.Variant{
-	"L-HP":       core.VariantLHP,
-	"CHASSIS-L":  core.VariantL,
-	"CHASSIS-LI": core.VariantLI,
-	"CHASSIS-LN": core.VariantLN,
-}
-
 // runSharded is the out-of-core path: the corpus stays on disk and the
 // E-step walks it shard-by-shard, so peak memory is bounded by the shard
-// size rather than the corpus. The L-HP baseline and the linear-link
-// conformity variants (CHASSIS-L/LI/LN, fixed or parametric-exponential
-// kernel) have sharded drivers; the result is bit-identical to the in-memory
-// fit at any -workers/-shard-events setting. There is no train/test split —
-// the whole corpus is training data and held-out evaluation needs an
-// in-memory sequence — so the tool reports the model fingerprint and peak
-// RSS instead of likelihoods.
+// size rather than the corpus. Every CHASSIS/HP strategy — linear or
+// nonlinear link, with or without conformity — fits this way (fixed or
+// parametric-exponential kernel), bit-identical to the in-memory fit at any
+// -workers/-shard-events setting. core.FitSharded is the only gate: a
+// feature it cannot run out of core, such as -guard, fails with its typed
+// *core.ShardedUnsupportedError. There is no train/test split — the whole
+// corpus is training data and held-out evaluation needs an in-memory
+// sequence — so the tool reports the model fingerprint and peak RSS instead
+// of likelihoods.
 func runSharded(sess *cliobs.Session, f fitFlags) error {
-	variant, ok := shardedStrategies[f.strategy]
-	if !ok {
-		return fmt.Errorf("sharded fits support -strategy L-HP, CHASSIS-L, CHASSIS-LI, or CHASSIS-LN (got %s): nonlinear links need the full sequence in memory", f.strategy)
-	}
-	if f.guard {
-		return errors.New("sharded fits do not support -guard (its likelihood regression check needs the full sequence)")
+	variant, err := core.VariantByName(f.strategy)
+	if err != nil {
+		return fmt.Errorf("sharded fits support the CHASSIS/HP strategies: %w", err)
 	}
 	if f.repair {
 		return errors.New("-repair applies to JSON input; colstore corpora are validated structurally on open")
@@ -283,6 +271,7 @@ func runSharded(sess *cliobs.Session, f fitFlags) error {
 		Variant: variant, EMIters: f.em, Seed: f.seed, Workers: f.workers,
 		ShardEvents: f.shardEvents, FixedKernel: true, ExpKernel: f.expKernel,
 		CheckpointDir: f.ckptDir, CheckpointEvery: f.ckptEvery, Resume: f.resume,
+		Guard: guard.Policy{Enabled: f.guard},
 	}
 	var opts []core.Option
 	if sess.Observer != nil {

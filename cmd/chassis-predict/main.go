@@ -19,6 +19,7 @@ import (
 
 	"chassis"
 	"chassis/internal/cliobs"
+	"chassis/internal/core"
 )
 
 func main() {
@@ -55,24 +56,12 @@ func main() {
 	os.Exit(cliobs.ExitCode(os.Stderr, "chassis-predict", err))
 }
 
-func variantByName(name string) (chassis.Variant, error) {
-	for _, v := range []chassis.Variant{
-		chassis.VariantL, chassis.VariantE, chassis.VariantLHP, chassis.VariantEHP,
-		chassis.VariantLI, chassis.VariantLN, chassis.VariantEI, chassis.VariantEN,
-	} {
-		if v.Name() == name {
-			return v, nil
-		}
-	}
-	return chassis.Variant{}, fmt.Errorf("unknown variant %q", name)
-}
-
 func run(sess *cliobs.Session, in, variant string, split float64, em, draws, steps int, seed int64, workers int, repair, jsonOut, infl bool) error {
 	ds, err := cliobs.LoadDataset(in, repair)
 	if err != nil {
 		return err
 	}
-	v, err := variantByName(variant)
+	v, err := core.VariantByName(variant)
 	if err != nil {
 		return err
 	}

@@ -31,8 +31,7 @@ import (
 // rejected up front: the nonlinear ("exp" link) diffusion, which has no
 // cluster representation, and the dynamic conformity ramp of
 // simulateDynamic, which would require unbounded per-pair history. The
-// streamed family is the static-excitation linear process — exactly the
-// subset core.FitSharded fits out-of-core.
+// streamed family is the static-excitation linear process.
 
 // StreamStats summarizes one streamed generation run.
 type StreamStats struct {

@@ -85,6 +85,17 @@ func (v Variant) Name() string {
 	}
 }
 
+// VariantByName returns the variant whose Name is name: the inverse of Name
+// over the paper's eight variants.
+func VariantByName(name string) (Variant, error) {
+	for _, v := range [...]Variant{VariantL, VariantE, VariantLI, VariantLN, VariantEI, VariantEN, VariantLHP, VariantEHP} {
+		if v.Name() == name {
+			return v, nil
+		}
+	}
+	return Variant{}, fmt.Errorf("core: unknown variant %q", name)
+}
+
 // Link resolves the link function.
 func (v Variant) Link() (hawkes.Link, error) {
 	return hawkes.LinkByName(v.LinkName)

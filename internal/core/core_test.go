@@ -28,6 +28,14 @@ func TestVariantNames(t *testing.T) {
 		if got := c.v.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)
 		}
+		if got, err := VariantByName(c.want); err != nil || got != c.v {
+			t.Errorf("VariantByName(%q) = %+v, %v; want %+v", c.want, got, err, c.v)
+		}
+	}
+	for _, name := range []string{"", "ADM4", "chassis-l", "CHASSIS-X"} {
+		if _, err := VariantByName(name); err == nil {
+			t.Errorf("VariantByName(%q) must fail", name)
+		}
 	}
 }
 
@@ -121,8 +129,7 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	if dim < 0 {
 		t.Skip("no suitable dimension")
 	}
-	_, linear := m.link.(hawkes.LinearLink)
-	dd := m.buildDimData(work, conf, dim, !linear)
+	dd := m.mstepDimData(seqColumns(work), conf, dim)
 	return m, dd, conf
 }
 

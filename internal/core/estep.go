@@ -221,15 +221,8 @@ func (m *Model) eStepMode(ctx context.Context, src eventSource, conf *conformity
 // (DESIGN.md §15).
 func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r *rng.RNG, exc excitation, maxSupport float64, mapMode bool, prev *branching.Forest, parents []int32, entSum []float64, entCnt []int) {
 	hi := off + len(win)
-	// Pooled per-chunk scratch; see bootstrapChunk.
-	weights := scratch.Floats(0)
-	cands := scratch.Ints(0)
-	contribs := scratch.Floats(0)
-	defer func() {
-		scratch.PutFloats(weights)
-		scratch.PutInts(cands)
-		scratch.PutFloats(contribs)
-	}()
+	ps := newParentScores()
+	defer ps.release()
 	lo := windowStartIn(win, off, win[c.Lo-off].Time-maxSupport)
 	for k := c.Lo; k < c.Hi; k++ {
 		parents[k] = -1
@@ -238,62 +231,22 @@ func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r
 			parents[k] = int32(prev.Parent(k)) // NoParent == -1 passes through
 			continue
 		}
-		i := int(ak.User)
-		ker := m.Kernels[i]
 		for lo < hi && win[lo-off].Time < ak.Time-maxSupport {
 			lo++
 		}
-		g := m.Mu[i]
-		cands = cands[:0]
-		contribs = contribs[:0]
-		for w := lo; w < k; w++ {
-			aw := &win[w-off]
-			dt := ak.Time - aw.Time
-			if dt <= 0 || dt > ker.Support() {
-				continue
-			}
-			phi := ker.Eval(dt)
-			if phi <= 0 {
-				continue
-			}
-			// Smoothed excitation: negative (inhibitory) conformity rules a
-			// candidate out of parenthood; the Laplace term keeps the first
-			// EM iterations from collapsing to all-immigrant (see Config).
-			alpha := exc.Alpha(i, int(aw.User), aw.Time)
-			if alpha < 0 {
-				alpha = 0
-			}
-			cw := (alpha + m.cfg.EStepSmoothing) * phi
-			if cw <= 0 {
-				continue
-			}
-			g += cw
-			cands = append(cands, w)
-			contribs = append(contribs, cw)
-		}
-		weights = weights[:0]
-		if m.cfg.LinearRatioEStep {
-			weights = append(weights, m.Mu[i])
-			weights = append(weights, contribs...)
-		} else {
-			weights = append(weights, m.link.Apply(m.Mu[i]))
-			fg := m.link.Apply(g)
-			for _, cw := range contribs {
-				weights = append(weights, fg-m.link.Apply(g-cw))
-			}
-		}
+		m.scoreParents(win, off, lo, k, exc, m.cfg.EStepSmoothing, &ps)
 		if entSum != nil {
 			// Triggering-distribution entropy, from the weights already in
 			// hand: a pure read that leaves the RNG stream untouched.
 			var total float64
-			for _, wv := range weights {
+			for _, wv := range ps.weights {
 				if wv > 0 {
 					total += wv
 				}
 			}
 			if total > 0 {
 				var h float64
-				for _, wv := range weights {
+				for _, wv := range ps.weights {
 					if wv > 0 {
 						p := wv / total
 						h -= p * math.Log(p)
@@ -305,18 +258,100 @@ func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r
 		}
 		pick := 0
 		if mapMode {
-			best := weights[0]
-			for idx := 1; idx < len(weights); idx++ {
-				if weights[idx] > best {
-					best = weights[idx]
-					pick = idx
-				}
-			}
+			pick = argmaxFirst(ps.weights)
 		} else {
-			pick = r.Categorical(weights)
+			pick = r.Categorical(ps.weights)
 		}
 		if pick > 0 {
-			parents[k] = int32(cands[pick-1])
+			parents[k] = int32(ps.cands[pick-1])
 		}
 	}
+}
+
+// parentScores is one scorer's candidate buffers: weights[0] is the
+// immigrant option and weights[1+c] the candidate parent cands[c] (a global
+// event index); contribs is scratch. The buffers come from the scratch pool:
+// EM scores every event of every E-step and serving scores every ingested
+// event, and pooling keeps both allocation-free in steady state without
+// touching values (pooled slices read as fresh ones).
+type parentScores struct {
+	weights, contribs []float64
+	cands             []int
+}
+
+func newParentScores() parentScores {
+	return parentScores{weights: scratch.Floats(0), contribs: scratch.Floats(0), cands: scratch.Ints(0)}
+}
+
+func (ps *parentScores) release() {
+	scratch.PutFloats(ps.weights)
+	scratch.PutFloats(ps.contribs)
+	scratch.PutInts(ps.cands)
+}
+
+// scoreParents fills ps with event k's triggering distribution, for the
+// E-step chunk body and MAPParent alike. win holds global events
+// [off, off+len(win)); candidates are the events in [lo, k) inside
+// receiver i's kernel support, where lo is the caller's window start (any
+// index at or before the first event within that support gives the same
+// candidates). A candidate weighs the Papangelou intensity drop
+// F(g) − F(g − c_e) against the full pre-link aggregate g, the immigrant
+// F(μᵢ); under Config.LinearRatioEStep they are c_e and μᵢ.
+func (m *Model) scoreParents(win []timeline.Activity, off, lo, k int, exc excitation, smoothing float64, ps *parentScores) {
+	ak := &win[k-off]
+	i := int(ak.User)
+	ker := m.Kernels[i]
+	support := ker.Support()
+	g := m.Mu[i]
+	ps.cands = ps.cands[:0]
+	ps.contribs = ps.contribs[:0]
+	for w := lo; w < k; w++ {
+		aw := &win[w-off]
+		dt := ak.Time - aw.Time
+		if dt <= 0 || dt > support {
+			continue
+		}
+		phi := ker.Eval(dt)
+		if phi <= 0 {
+			continue
+		}
+		// Smoothed excitation: negative (inhibitory) conformity rules a
+		// candidate out of parenthood; the Laplace term keeps the first
+		// EM iterations from collapsing to all-immigrant (see Config).
+		alpha := exc.Alpha(i, int(aw.User), aw.Time)
+		if alpha < 0 {
+			alpha = 0
+		}
+		cw := (alpha + smoothing) * phi
+		if cw <= 0 {
+			continue
+		}
+		g += cw
+		ps.cands = append(ps.cands, w)
+		ps.contribs = append(ps.contribs, cw)
+	}
+	ps.weights = ps.weights[:0]
+	if m.cfg.LinearRatioEStep {
+		ps.weights = append(ps.weights, m.Mu[i])
+		ps.weights = append(ps.weights, ps.contribs...)
+		return
+	}
+	ps.weights = append(ps.weights, m.link.Apply(m.Mu[i]))
+	fg := m.link.Apply(g)
+	for _, cw := range ps.contribs {
+		ps.weights = append(ps.weights, fg-m.link.Apply(g-cw))
+	}
+}
+
+// argmaxFirst returns the index of the first maximum of weights (0 when
+// none exceeds weights[0]): the MAP pick, ties going to the immigrant and
+// then to the earliest candidate.
+func argmaxFirst(weights []float64) int {
+	pick := 0
+	for idx := 1; idx < len(weights); idx++ {
+		if weights[idx] > weights[pick] {
+			pick = idx
+		}
+	}
+	return pick
 }

@@ -320,7 +320,7 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 			ms = &mstepStats{}
 		}
 		msStart := time.Now()
-		if err = m.mStep(ctx, src, conf, ms); err != nil {
+		if err = m.mStep(ctx, cols, conf, ms); err != nil {
 			err = wrapCancel("mstep", iterNo, err)
 			return
 		}

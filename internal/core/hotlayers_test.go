@@ -517,8 +517,6 @@ func TestObjectiveMatchesReference(t *testing.T) {
 	for vi, v := range variants {
 		t.Run(v.Name(), func(t *testing.T) {
 			r := rng.New(int64(41 + vi))
-			link, _ := v.Link()
-			_, linear := link.(hawkes.LinearLink)
 			evaluated := 0
 			for c := 0; c < 10; c++ {
 				users := 3 + r.Intn(6)
@@ -536,12 +534,7 @@ func TestObjectiveMatchesReference(t *testing.T) {
 					if len(m.sources[i]) == 0 {
 						continue
 					}
-					var d *dimData
-					if linear {
-						d = m.buildDimDataBatch(cols, conf, i, i+1, nil)[0]
-					} else {
-						d = m.buildDimData(seq, conf, i, true)
-					}
+					d := m.mstepDimData(cols, conf, i)
 					obj, ref := m.objective(d, conf), m.refObjective(d, conf)
 					lower, upper := m.bounds(i)
 					for trial := 0; trial < 6; trial++ {

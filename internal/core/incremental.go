@@ -22,10 +22,11 @@ import (
 
 // MAPParent scores the triggering distribution of event k of seq under the
 // fitted parameters and returns its MAP parent (timeline.NoParent for an
-// immigrant pick). The scoring is eStepMode's, for a single event in MAP
-// mode: candidates inside the kernel support are weighted by the Papangelou
-// intensity drop F(g) − F(g − c_e) (with the same Laplace smoothing), the
-// immigrant option by F(μᵢ). Conformity features are read from the model's
+// immigrant pick). The scoring is the E-step's own scorer (scoreParents) in
+// MAP mode: candidates inside the kernel support are weighted by the
+// Papangelou intensity drop F(g) − F(g − c_e) (with the same Laplace
+// smoothing), the immigrant option by F(μᵢ), and argmaxFirst breaks ties as
+// the E-step does. Conformity features are read from the model's
 // training-time state (m.Conf) — the same convention every serving-time
 // evaluation (Process, HistoryState, prediction) uses — so attribution of a
 // live cascade needs no conformity rebuild per event.
@@ -41,68 +42,23 @@ func (m *Model) MAPParent(seq *timeline.Sequence, k int) (timeline.ActivityID, e
 	if k < 0 || k >= seq.Len() {
 		return timeline.NoParent, fmt.Errorf("core: event index %d outside [0,%d)", k, seq.Len())
 	}
-	exc := excitation{m: m, conf: m.Conf}
 	ak := &seq.Activities[k]
 	i := int(ak.User)
 	if i < 0 || i >= m.M {
 		return timeline.NoParent, fmt.Errorf("core: event %d has user %d outside [0,%d)", k, i, m.M)
 	}
-	ker := m.Kernels[i]
-	support := ker.Support()
 	smoothing := m.cfg.EStepSmoothing
 	if smoothing <= 0 {
 		smoothing = 0.02 // Config.fill's default, for zero-value models
 	}
-	lo := windowStart(seq, ak.Time-support)
-
-	g := m.Mu[i]
-	bestW := m.link.Apply(m.Mu[i]) // immigrant option
-	if m.cfg.LinearRatioEStep {
-		bestW = m.Mu[i]
+	ps := newParentScores()
+	defer ps.release()
+	lo := windowStart(seq, ak.Time-m.Kernels[i].Support())
+	m.scoreParents(seq.Activities, 0, lo, k, excitation{m: m, conf: m.Conf}, smoothing, &ps)
+	if pick := argmaxFirst(ps.weights); pick > 0 {
+		return timeline.ActivityID(ps.cands[pick-1]), nil
 	}
-	best := timeline.NoParent
-	// Two passes mirror eStepMode: accumulate the pre-link aggregate g over
-	// every candidate first, then score each drop against the full g.
-	type cand struct {
-		w  int
-		cw float64
-	}
-	var cands []cand
-	for w := lo; w < k; w++ {
-		aw := &seq.Activities[w]
-		dt := ak.Time - aw.Time
-		if dt <= 0 || dt > support {
-			continue
-		}
-		phi := ker.Eval(dt)
-		if phi <= 0 {
-			continue
-		}
-		alpha := exc.Alpha(i, int(aw.User), aw.Time)
-		if alpha < 0 {
-			alpha = 0
-		}
-		cw := (alpha + smoothing) * phi
-		if cw <= 0 {
-			continue
-		}
-		g += cw
-		cands = append(cands, cand{w, cw})
-	}
-	fg := m.link.Apply(g)
-	for _, c := range cands {
-		var weight float64
-		if m.cfg.LinearRatioEStep {
-			weight = c.cw
-		} else {
-			weight = fg - m.link.Apply(g-c.cw)
-		}
-		if weight > bestW {
-			bestW = weight
-			best = timeline.ActivityID(c.w)
-		}
-	}
-	return best, nil
+	return timeline.NoParent, nil
 }
 
 // AssignParents runs MAPParent over events [from, seq.Len()), returning one
@@ -178,7 +134,7 @@ func (m *Model) RefitIncremental(ctx context.Context, seq *timeline.Sequence, pa
 		}
 	}
 	out.Conf = conf
-	if err := out.mStep(ctx, newSeqSource(work), conf, nil); err != nil {
+	if err := out.mStep(ctx, seqColumns(work), conf, nil); err != nil {
 		return nil, err
 	}
 	for i := range out.Mu {

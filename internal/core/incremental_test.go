@@ -51,6 +51,58 @@ func TestMAPParentStreamingEqualsBatch(t *testing.T) {
 	}
 }
 
+// TestMAPParentMatchesMAPEStep pins the contract MAPParent's comment
+// claims: under one conformity snapshot (m.Conf), assigning every event its
+// MAP parent equals a MAP E-step pass with no previous forest. The two share
+// scoreParents and argmaxFirst but keep their own window starts — the
+// E-step's chunks slide one against the largest kernel support, MAPParent
+// searches against the event's own — so this also checks that both see the
+// same candidates. Both E-step weight rules are covered.
+func TestMAPParentMatchesMAPEStep(t *testing.T) {
+	forceSmallChunks(t, 48)
+	rules := []string{"papangelou", "linear-ratio"}
+	linked := make([]int, len(rules)) // events given a parent, per rule
+	for _, v := range []Variant{VariantL, VariantE, VariantLHP, VariantEHP, VariantLI, VariantEN} {
+		for ri, rule := range rules {
+			t.Run(v.Name()+"/"+rule, func(t *testing.T) {
+				for _, seed := range []int64{17, 41, 52} {
+					d := smallDataset(t, seed)
+					cfg := quickCfg(v)
+					cfg.LinearRatioEStep = ri == 1
+					m, err := Fit(d.Seq, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := m.eStepMode(context.Background(), newSeqSource(d.Seq.StripParents()), m.Conf, true, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := m.AssignParents(d.Seq, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, p := range got {
+						if p != want.Parent(k) {
+							t.Fatalf("seed %d: event %d: MAPParent %d, MAP E-step %d", seed, k, p, want.Parent(k))
+						}
+						if p != timeline.NoParent {
+							linked[ri]++
+						}
+					}
+				}
+			})
+		}
+	}
+	// The exp-link conformity fits link nothing under the Papangelou rule
+	// on these corpora; the linear-link ones must, so neither rule's
+	// comparison is vacuous.
+	for ri, rule := range rules {
+		if linked[ri] == 0 {
+			t.Errorf("%s: no event got a parent, the comparison is vacuous", rule)
+		}
+	}
+}
+
 // TestMAPParentDeterministic pins that repeated scoring is identical and
 // advances no hidden state (the in-fit E-steps bump an RNG counter; the
 // incremental scorer must not).

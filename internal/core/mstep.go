@@ -9,7 +9,6 @@ import (
 	"chassis/internal/hawkes"
 	"chassis/internal/infer"
 	"chassis/internal/parallel"
-	"chassis/internal/timeline"
 )
 
 const lambdaFloor = 1e-12
@@ -40,95 +39,6 @@ type dimData struct {
 	targets [][]winEntry // one window per event of dimension i
 	grid    [][]winEntry // Euler-grid windows (nonlinear links only)
 	gridH   float64
-}
-
-// buildDimData assembles the fitting structures for dimension i.
-func (m *Model) buildDimData(seq *timeline.Sequence, conf *conformity.Computer, i int, needGrid bool) *dimData {
-	d := &dimData{i: i, T: seq.Horizon}
-	ker := m.Kernels[i]
-	support := ker.Support()
-
-	jIdx := make(map[int32]int32, len(m.sources[i]))
-	for idx, j := range m.sources[i] {
-		jIdx[int32(j)] = int32(idx)
-	}
-	acts := seq.Activities
-	srcOf := make([]int32, len(acts)) // index into d.src, or -1
-	for k := range acts {
-		srcOf[k] = -1
-		j := int32(acts[k].User)
-		idx, ok := jIdx[j]
-		if !ok {
-			continue
-		}
-		e := srcEvent{
-			j: j, jIdx: idx, t: acts[k].Time,
-			kInt: ker.Integral(seq.Horizon - acts[k].Time),
-		}
-		if m.Variant.ConformityAware && m.Variant.UseNormative {
-			e.aN = conf.Normative(i, int(j), acts[k].Time)
-		}
-		srcOf[k] = int32(len(d.src))
-		d.src = append(d.src, e)
-	}
-
-	// Target windows: for each event of dimension i, the preceding source
-	// events inside the kernel support.
-	lo := 0
-	for k := range acts {
-		if int(acts[k].User) != i {
-			continue
-		}
-		t := acts[k].Time
-		for lo < len(acts) && acts[lo].Time < t-support {
-			lo++
-		}
-		var win []winEntry
-		for w := lo; w < k; w++ {
-			if srcOf[w] < 0 {
-				continue
-			}
-			dt := t - acts[w].Time
-			if dt <= 0 || dt > support {
-				continue
-			}
-			if phi := ker.Eval(dt); phi > 0 {
-				win = append(win, winEntry{src: srcOf[w], phi: phi})
-			}
-		}
-		d.targets = append(d.targets, win)
-	}
-
-	if needGrid {
-		g := m.cfg.IntegrationGrid
-		d.gridH = seq.Horizon / float64(g)
-		d.grid = make([][]winEntry, g)
-		lo = 0
-		for s := 0; s < g; s++ {
-			ts := float64(s) * d.gridH // left endpoints
-			for lo < len(acts) && acts[lo].Time < ts-support {
-				lo++
-			}
-			var win []winEntry
-			for w := lo; w < len(acts); w++ {
-				if acts[w].Time >= ts {
-					break
-				}
-				if srcOf[w] < 0 {
-					continue
-				}
-				dt := ts - acts[w].Time
-				if dt > support {
-					continue
-				}
-				if phi := ker.Eval(dt); phi > 0 {
-					win = append(win, winEntry{src: srcOf[w], phi: phi})
-				}
-			}
-			d.grid[s] = win
-		}
-	}
-	return d
 }
 
 // layout describes how one dimension's parameters pack into a flat vector:
@@ -485,18 +395,20 @@ type mstepStats struct {
 // the frozen forest/conformity snapshot and writes only its own parameter
 // rows — so they fan out over the shared worker pool; the per-dimension
 // optimization itself is deterministic, which keeps the fitted parameters
-// identical at any worker count. ctx is polled between dimensions; stats,
-// when non-nil, receives the pass's gradient-norm measurement. The returned
-// error only reports worker panics or cancellation: a dimension whose
-// optimizer fails simply keeps its parameters.
+// identical at any worker count or batch size. ctx is polled between
+// dimensions; stats, when non-nil, receives the pass's gradient-norm
+// measurement. The returned error only reports worker panics or
+// cancellation: a dimension whose optimizer fails simply keeps its
+// parameters.
 //
-// Linear links take the batched streaming builder over the source's
-// columns: one chronological pass per dimension batch instead of one
-// full-sequence pass per dimension, which is what makes M-steps feasible at
-// paper-scale M and out of core. Nonlinear links need Euler-grid windows,
-// which only the per-dimension builder over the in-memory sequence
-// assembles.
-func (m *Model) mStep(ctx context.Context, src eventSource, conf *conformity.Computer, stats *mstepStats) error {
+// Dimensions are processed in batches, each assembled by one chronological
+// scan of the event columns (buildDimDataBatch) and then optimized in
+// parallel; that is what makes M-steps feasible at paper-scale M and out of
+// core. A nonlinear link's worker adds its dimension's Euler grid
+// (buildGrid) just before optimizing, and every worker drops its
+// dimension's data right after. Batches run sequentially, so peak memory is
+// one batch of dimData plus at most Workers grids.
+func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Computer, stats *mstepStats) error {
 	var norms []float64
 	if stats != nil {
 		norms = make([]float64, m.M)
@@ -510,22 +422,37 @@ func (m *Model) mStep(ctx context.Context, src eventSource, conf *conformity.Com
 		// e.g. one rebuilt by LoadModel) means "never recovered".
 		initStep *= m.stepScale
 	}
-	var err error
-	if _, linear := m.link.(hawkes.LinearLink); linear {
-		err = m.mStepBatches(ctx, src.columns(), conf, initStep, norms)
-	} else {
-		seq := src.sequence()
-		err = parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
-			d := m.buildDimData(seq, conf, i, true)
-			norm := m.optimizeDim(i, d, conf, initStep, norms != nil)
+	_, linear := m.link.(hawkes.LinearLink)
+	scr := newBatchScratch(m.M)
+	workers := parallel.Workers(m.cfg.Workers)
+	cost := m.dimSrcCosts(cols)
+	for lo := 0; lo < m.M; {
+		hi := lo + 1
+		budget := cost[lo]
+		for hi < m.M && hi-lo < mstepBatchDims && budget+cost[hi] <= mstepBatchSrcEvents {
+			budget += cost[hi]
+			hi++
+		}
+		data := m.buildDimDataBatch(cols, conf, lo, hi, scr)
+		err := parallel.DoContext(ctx, workers, hi-lo, func(bi int) error {
+			i := lo + bi
+			if !linear {
+				m.buildGrid(data[bi])
+			}
+			norm := m.optimizeDim(i, data[bi], conf, initStep, norms != nil)
+			data[bi] = nil
 			if norms != nil {
 				norms[i] = norm
 			}
 			return nil
 		})
+		if err != nil {
+			return err
+		}
+		lo = hi
 	}
-	if err != nil || stats == nil {
-		return err
+	if stats == nil {
+		return nil
 	}
 	stats.dims = m.M
 	stats.gradNorm = math.NaN()
@@ -539,11 +466,8 @@ func (m *Model) mStep(ctx context.Context, src eventSource, conf *conformity.Com
 
 // optimizeDim runs the per-dimension optimizer stage on prepared dimData:
 // pack, box bounds, projected-gradient ascent, damped blend, fault-injection
-// hook, unpack. It is the shared tail of both M-step builders (per-dim and
-// batched) — they differ in how they assemble d, never in what happens to
-// it, which is half the bit-identity argument for the batched path. Returns
-// the measured projected-gradient norm when wantNorm (NaN when the optimizer
-// failed and the dimension kept its parameters).
+// hook, unpack. Returns the measured projected-gradient norm when wantNorm
+// (NaN when the optimizer failed and the dimension kept its parameters).
 func (m *Model) optimizeDim(i int, d *dimData, conf *conformity.Computer, initStep float64, wantNorm bool) float64 {
 	x0 := m.pack(i)
 	lower, upper := m.bounds(i)

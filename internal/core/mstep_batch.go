@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-
 	"chassis/internal/conformity"
 	"chassis/internal/kernel"
-	"chassis/internal/parallel"
 )
 
 // mstepBatchDims caps how many dimensions one batched M-step pass assembles
@@ -27,7 +24,10 @@ var mstepBatchDims = 2048
 // Batch boundaries never change results — each dimension's data is
 // assembled and optimized independently (TestBatchBuilderMatchesPerDim and
 // the batch-span sweep in TestBatchedMStepMatchesPerDimOptimizer) — so this
-// is purely a memory knob. (A variable only so tests can exercise packing.)
+// is purely a memory knob. A nonlinear link's Euler-grid windows are not in
+// the budget: each is built in its dimension's optimize worker and released
+// with it, so at most Workers grids are live. (A variable only so tests can
+// exercise packing.)
 var mstepBatchSrcEvents = int64(4 << 20)
 
 // dimSrcRef marks that user j is a source for one batch slot.
@@ -61,17 +61,16 @@ func newBatchScratch(m int) *batchScratch {
 }
 
 // buildDimDataBatch assembles dimData for dimensions [lo, hi) with ONE
-// chronological scan of the event columns. The result is element-wise
-// identical to calling buildDimData per dimension (same source events, same
-// window entries, same kernel evaluations in the same order —
-// TestBatchBuilderMatchesPerDim pins this), so the optimizer sees the same
-// floats regardless of which builder ran.
+// chronological scan of the event columns: every source event (times, kInt,
+// aN) and every target window, kernel evaluations in event order. It is the
+// M-step's only dimension builder; TestBatchBuilderMatchesPerDim pins it,
+// grid windows included, to a per-dimension reference builder that scans
+// the whole sequence once per dimension.
 //
 // Per-slot source deques never rescan: a target window is d.src[start:] with
-// start advanced by the same `time < t − support` rule the per-dim builder
-// prunes with; since scan times are nondecreasing, pruned sources stay
-// prunable. Grid windows (nonlinear links) are out of scope — nonlinear fits
-// keep the per-dim builder.
+// start advanced by the `time < t − support` rule; since scan times are
+// nondecreasing, pruned sources stay prunable. Euler-grid windows (nonlinear
+// links) read only d.src, so buildGrid adds them per dimension afterwards.
 func (m *Model) buildDimDataBatch(cols *eventCols, conf *conformity.Computer, lo, hi int, scr *batchScratch) []*dimData {
 	if scr == nil {
 		scr = newBatchScratch(m.M)
@@ -95,9 +94,9 @@ func (m *Model) buildDimDataBatch(cols *eventCols, conf *conformity.Computer, lo
 
 	for k, t := range cols.times {
 		j := int(cols.users[k])
-		// Target window first: the per-dim builder only admits sources
-		// strictly before the target event, so an event that is both a
-		// target and a source contributes to later windows only.
+		// Target window first: a window admits only sources strictly
+		// before the target event, so an event that is both a target and a
+		// source contributes to later windows only.
 		if s := scr.slotOf[j]; s >= 0 {
 			st := slots[s]
 			sv := st.d.src
@@ -142,38 +141,37 @@ func (m *Model) buildDimDataBatch(cols *eventCols, conf *conformity.Computer, lo
 	return out
 }
 
-// mStepBatches is the linear-link M-step: dimensions are processed in fixed
-// batches, each assembled by one scan via buildDimDataBatch, then optimized
-// in parallel. Batches run sequentially, so peak memory is one batch of
-// dimData — the property the out-of-core fit relies on — while the
-// per-dimension optimization stays deterministic at any worker count or
-// batch size.
-func (m *Model) mStepBatches(ctx context.Context, cols *eventCols, conf *conformity.Computer, initStep float64, norms []float64) error {
-	scr := newBatchScratch(m.M)
-	workers := parallel.Workers(m.cfg.Workers)
-	cost := m.dimSrcCosts(cols)
-	for lo := 0; lo < m.M; {
-		hi := lo + 1
-		budget := cost[lo]
-		for hi < m.M && hi-lo < mstepBatchDims && budget+cost[hi] <= mstepBatchSrcEvents {
-			budget += cost[hi]
-			hi++
+// buildGrid adds dimension d.i's Euler-grid windows for a nonlinear link.
+// Grid point s sits at ts = s·gridH with gridH = T/g, and its window holds,
+// in order, the source events with ts − support ≤ t < ts, dt ≤ support and
+// φ > 0. d.src is every event of the dimension's sources in chronological
+// order, so a cursor pruned by the same rule visits exactly the source
+// events a scan of the whole sequence would, in the same order, and every
+// window entry is the same (index, φ) pair.
+func (m *Model) buildGrid(d *dimData) {
+	ker := m.Kernels[d.i]
+	support := ker.Support()
+	g := m.cfg.IntegrationGrid
+	d.gridH = d.T / float64(g)
+	d.grid = make([][]winEntry, g)
+	lo := 0
+	for s := range d.grid {
+		ts := float64(s) * d.gridH // left endpoints
+		for lo < len(d.src) && d.src[lo].t < ts-support {
+			lo++
 		}
-		data := m.buildDimDataBatch(cols, conf, lo, hi, scr)
-		err := parallel.DoContext(ctx, workers, hi-lo, func(bi int) error {
-			i := lo + bi
-			norm := m.optimizeDim(i, data[bi], conf, initStep, norms != nil)
-			if norms != nil {
-				norms[i] = norm
+		var win []winEntry
+		for e := lo; e < len(d.src) && d.src[e].t < ts; e++ {
+			dt := ts - d.src[e].t
+			if dt > support {
+				continue
 			}
-			return nil
-		})
-		if err != nil {
-			return err
+			if phi := ker.Eval(dt); phi > 0 {
+				win = append(win, winEntry{src: int32(e), phi: phi})
+			}
 		}
-		lo = hi
+		d.grid[s] = win
 	}
-	return nil
 }
 
 // dimSrcCosts counts, per dimension, how many source events its batch slot

@@ -6,16 +6,122 @@ import (
 	"testing"
 
 	"chassis/internal/conformity"
+	"chassis/internal/hawkes"
+	"chassis/internal/kernel"
+	"chassis/internal/timeline"
 )
 
+// refBuildDimData is the oracle for the M-step's one dimension builder
+// (buildDimDataBatch plus buildGrid): it assembles dimension i's fitting
+// structures with one scan of the whole sequence, grid windows included
+// when needGrid.
+func (m *Model) refBuildDimData(seq *timeline.Sequence, conf *conformity.Computer, i int, needGrid bool) *dimData {
+	d := &dimData{i: i, T: seq.Horizon}
+	ker := m.Kernels[i]
+	support := ker.Support()
+
+	jIdx := make(map[int32]int32, len(m.sources[i]))
+	for idx, j := range m.sources[i] {
+		jIdx[int32(j)] = int32(idx)
+	}
+	acts := seq.Activities
+	srcOf := make([]int32, len(acts)) // index into d.src, or -1
+	for k := range acts {
+		srcOf[k] = -1
+		j := int32(acts[k].User)
+		idx, ok := jIdx[j]
+		if !ok {
+			continue
+		}
+		e := srcEvent{
+			j: j, jIdx: idx, t: acts[k].Time,
+			kInt: ker.Integral(seq.Horizon - acts[k].Time),
+		}
+		if m.Variant.ConformityAware && m.Variant.UseNormative {
+			e.aN = conf.Normative(i, int(j), acts[k].Time)
+		}
+		srcOf[k] = int32(len(d.src))
+		d.src = append(d.src, e)
+	}
+
+	// Target windows: for each event of dimension i, the preceding source
+	// events inside the kernel support.
+	lo := 0
+	for k := range acts {
+		if int(acts[k].User) != i {
+			continue
+		}
+		t := acts[k].Time
+		for lo < len(acts) && acts[lo].Time < t-support {
+			lo++
+		}
+		var win []winEntry
+		for w := lo; w < k; w++ {
+			if srcOf[w] < 0 {
+				continue
+			}
+			dt := t - acts[w].Time
+			if dt <= 0 || dt > support {
+				continue
+			}
+			if phi := ker.Eval(dt); phi > 0 {
+				win = append(win, winEntry{src: srcOf[w], phi: phi})
+			}
+		}
+		d.targets = append(d.targets, win)
+	}
+
+	if needGrid {
+		g := m.cfg.IntegrationGrid
+		d.gridH = seq.Horizon / float64(g)
+		d.grid = make([][]winEntry, g)
+		lo = 0
+		for s := 0; s < g; s++ {
+			ts := float64(s) * d.gridH // left endpoints
+			for lo < len(acts) && acts[lo].Time < ts-support {
+				lo++
+			}
+			var win []winEntry
+			for w := lo; w < len(acts); w++ {
+				if acts[w].Time >= ts {
+					break
+				}
+				if srcOf[w] < 0 {
+					continue
+				}
+				dt := ts - acts[w].Time
+				if dt > support {
+					continue
+				}
+				if phi := ker.Eval(dt); phi > 0 {
+					win = append(win, winEntry{src: srcOf[w], phi: phi})
+				}
+			}
+			d.grid[s] = win
+		}
+	}
+	return d
+}
+
+// mstepDimData builds dimension i's data the way the M-step does: the
+// batched builder over the columns, plus the Euler grid for a nonlinear
+// link.
+func (m *Model) mstepDimData(cols *eventCols, conf *conformity.Computer, i int) *dimData {
+	d := m.buildDimDataBatch(cols, conf, i, i+1, nil)[0]
+	if _, linear := m.link.(hawkes.LinearLink); !linear {
+		m.buildGrid(d)
+	}
+	return d
+}
+
 // TestBatchBuilderMatchesPerDim pins the batched streaming builder to the
-// per-dimension builder: for every dimension, the assembled dimData must be
-// deep-equal — same source events (times, kInt, aN), same target windows,
-// same kernel evaluations in the same order. This is the load-bearing
-// equivalence behind both the batched in-memory M-step and the sharded
-// fit's M-step.
+// per-dimension reference: for every dimension, the assembled dimData —
+// plus its Euler grid for the nonlinear links — must be deep-equal: same
+// source events (times, kInt, aN), same target and grid windows, same
+// kernel evaluations in the same order. This is the load-bearing
+// equivalence behind the M-step of both drivers.
 func TestBatchBuilderMatchesPerDim(t *testing.T) {
-	for _, v := range []Variant{VariantLHP, VariantL, VariantLI, VariantLN} {
+	for _, v := range []Variant{VariantLHP, VariantL, VariantLI, VariantLN, VariantEHP, VariantE, VariantEI, VariantEN} {
 		t.Run(v.Name(), func(t *testing.T) {
 			d := smallDataset(t, 31)
 			cfg := quickCfg(v)
@@ -23,6 +129,7 @@ func TestBatchBuilderMatchesPerDim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			_, linear := m.link.(hawkes.LinearLink)
 			// Rebuild the conformity state against the fitted forest, the
 			// same inputs the fit's own M-steps saw.
 			work := d.Seq.StripParents()
@@ -33,88 +140,133 @@ func TestBatchBuilderMatchesPerDim(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			gridEntries := 0
 			for _, span := range []int{m.M, 5, 1} {
-				old := mstepBatchDims
-				mstepBatchDims = span
-				defer func() { mstepBatchDims = old }()
 				for lo := 0; lo < m.M; lo += span {
 					hi := min(lo+span, m.M)
 					got := m.buildDimDataBatch(seqColumns(work), conf, lo, hi, nil)
 					for bi, g := range got {
 						i := lo + bi
-						want := m.buildDimData(work, conf, i, false)
+						if !linear {
+							m.buildGrid(g)
+							for _, win := range g.grid {
+								gridEntries += len(win)
+							}
+						}
+						want := m.refBuildDimData(work, conf, i, !linear)
 						if !reflect.DeepEqual(g, want) {
 							t.Fatalf("batch span %d: dim %d dimData diverges\n got %+v\nwant %+v", span, i, g, want)
 						}
 					}
 				}
 			}
+			if !linear && gridEntries == 0 {
+				t.Fatal("no grid window holds an entry")
+			}
 		})
 	}
 }
 
-// TestBatchedMStepMatchesPerDimOptimizer runs one M-step through the batched
-// path and the legacy per-dimension path from the same frozen model state
-// and requires bit-identical parameters, across batch sizes that force
-// single- and multi-batch execution.
-func TestBatchedMStepMatchesPerDimOptimizer(t *testing.T) {
-	d := smallDataset(t, 32)
-	cfg := quickCfg(VariantLHP)
-	m, err := Fit(d.Seq, cfg)
+// TestGridWindowsOnGridPoints pins the grid rules on a hand-made fixture:
+// horizon 640 and 64 grid points put ts at multiples of 10, and events sit
+// exactly on grid points (t = 30, 40) and at the horizon (t = 640). The
+// kernel's support is 20 and it is zero at dt = 10, so the windows exercise
+// t < ts (an event never joins the window of its own grid point),
+// dt ≤ support (dt = 20 is in) and φ > 0 (dt = 10 is out).
+func TestGridWindowsOnGridPoints(t *testing.T) {
+	ker, err := kernel.NewDiscrete(5, []float64{1, 0, 0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := d.Seq.StripParents()
+	if ker.Support() != 20 || ker.Eval(10) != 0 || ker.Eval(20) != 1 {
+		t.Fatalf("fixture kernel: support %v, φ(10) = %v, φ(20) = %v", ker.Support(), ker.Eval(10), ker.Eval(20))
+	}
+	seq := &timeline.Sequence{M: 2, Horizon: 640, Activities: []timeline.Activity{
+		{ID: 0, User: 0, Time: 30, Parent: timeline.NoParent},
+		{ID: 1, User: 1, Time: 40, Parent: timeline.NoParent},
+		{ID: 2, User: 0, Time: 640, Parent: timeline.NoParent},
+	}}
+	link, _ := VariantEHP.Link()
+	m := &Model{
+		M: 2, Variant: VariantEHP, Horizon: 640,
+		Kernels: []kernel.Kernel{ker, ker},
+		sources: [][]int{{0, 1}, {0, 1}},
+		cfg:     Config{IntegrationGrid: 64},
+		link:    link,
+	}
+	// Both dimensions list both users as sources, so d.src holds all three
+	// events: d.src[0] (t = 30), d.src[1] (t = 40) and d.src[2] (t = 640).
+	// Only the windows at ts = 50 and 60 hold one of them.
+	want := make([][]winEntry, 64)
+	want[5] = []winEntry{{src: 0, phi: 1}} // ts = 50: t = 30 at dt = support; t = 40 at φ = 0
+	want[6] = []winEntry{{src: 1, phi: 1}} // ts = 60: t = 40 at dt = support
+	cols := seqColumns(seq)
+	for i := 0; i < m.M; i++ {
+		got := m.mstepDimData(cols, nil, i)
+		if ref := m.refBuildDimData(seq, nil, i, true); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("dim %d diverges from the reference\n got %+v\nwant %+v", i, got, ref)
+		}
+		if got.gridH != 10 || !reflect.DeepEqual(got.grid, want) {
+			t.Fatalf("dim %d: gridH %v, grid %v; want 10, %v", i, got.gridH, got.grid, want)
+		}
+	}
+}
 
-	// Reference: the per-dimension builder feeding the shared optimizer.
-	runPerDim := func() [][]float64 {
-		snap := m.snapshotState(nil)
-		defer m.restoreState(snap)
-		for i := 0; i < m.M; i++ {
-			dd := m.buildDimData(work, nil, i, false)
-			m.optimizeDim(i, dd, nil, 0.05, false)
-		}
-		return paramsCopy(m)
-	}
-	runBatched := func(span int) [][]float64 {
-		old := mstepBatchDims
-		mstepBatchDims = span
-		defer func() { mstepBatchDims = old }()
-		snap := m.snapshotState(nil)
-		defer m.restoreState(snap)
-		if err := m.mStepBatches(context.Background(), seqColumns(work), nil, 0.05, nil); err != nil {
-			t.Fatal(err)
-		}
-		return paramsCopy(m)
-	}
+// TestBatchedMStepMatchesPerDimOptimizer runs one M-step through the batched
+// path and the per-dimension reference builder from the same frozen model
+// state and requires bit-identical parameters, across batch sizes that force
+// single- and multi-batch execution; E-HP's Euler grid rides along.
+func TestBatchedMStepMatchesPerDimOptimizer(t *testing.T) {
+	for _, v := range []Variant{VariantLHP, VariantEHP} {
+		t.Run(v.Name(), func(t *testing.T) {
+			d := smallDataset(t, 32)
+			m, err := Fit(d.Seq, quickCfg(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, linear := m.link.(hawkes.LinearLink)
+			work := d.Seq.StripParents()
 
-	want := runPerDim()
-	for _, span := range []int{1, 3, m.M, 10000} {
-		got := runBatched(span)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch span %d: M-step parameters diverge from per-dim path", span)
-		}
-	}
+			// Reference: the per-dimension builder feeding the shared
+			// optimizer.
+			runPerDim := func() [][]float64 {
+				snap := m.snapshotState(nil)
+				defer m.restoreState(snap)
+				for i := 0; i < m.M; i++ {
+					dd := m.refBuildDimData(work, nil, i, !linear)
+					m.optimizeDim(i, dd, nil, 0.05, false)
+				}
+				return paramsCopy(m)
+			}
+			runBatched := func(span int, budget int64) [][]float64 {
+				oldDims, oldBudget := mstepBatchDims, mstepBatchSrcEvents
+				mstepBatchDims, mstepBatchSrcEvents = span, budget
+				defer func() { mstepBatchDims, mstepBatchSrcEvents = oldDims, oldBudget }()
+				snap := m.snapshotState(nil)
+				defer m.restoreState(snap)
+				if err := m.mStep(context.Background(), seqColumns(work), nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				return paramsCopy(m)
+			}
 
-	// The source-event budget is the other batch-boundary knob: force it
-	// down to one event so packing degenerates to single-dim batches, and
-	// to values that split mid-range, and require the same parameters.
-	runBudget := func(budget int64) [][]float64 {
-		old := mstepBatchSrcEvents
-		mstepBatchSrcEvents = budget
-		defer func() { mstepBatchSrcEvents = old }()
-		snap := m.snapshotState(nil)
-		defer m.restoreState(snap)
-		if err := m.mStepBatches(context.Background(), seqColumns(work), nil, 0.05, nil); err != nil {
-			t.Fatal(err)
-		}
-		return paramsCopy(m)
-	}
-	for _, budget := range []int64{1, 7, int64(work.Len()), 1 << 40} {
-		got := runBudget(budget)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("source-event budget %d: M-step parameters diverge from per-dim path", budget)
-		}
+			want := runPerDim()
+			for _, span := range []int{1, 3, m.M, 10000} {
+				if got := runBatched(span, mstepBatchSrcEvents); !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch span %d: M-step parameters diverge from per-dim path", span)
+				}
+			}
+
+			// The source-event budget is the other batch-boundary knob:
+			// force it down to one event so packing degenerates to
+			// single-dim batches, and to values that split mid-range, and
+			// require the same parameters.
+			for _, budget := range []int64{1, 7, int64(work.Len()), 1 << 40} {
+				if got := runBatched(mstepBatchDims, budget); !reflect.DeepEqual(got, want) {
+					t.Fatalf("source-event budget %d: M-step parameters diverge from per-dim path", budget)
+				}
+			}
+		})
 	}
 }
 

@@ -11,18 +11,17 @@ import (
 	"chassis/internal/branching"
 	"chassis/internal/colstore"
 	"chassis/internal/conformity"
-	"chassis/internal/hawkes"
 	"chassis/internal/parallel"
 	"chassis/internal/timeline"
 )
 
 // ShardedUnsupportedError reports a Config feature the out-of-core driver
 // does not implement. FitSharded fails fast with one of these instead of
-// silently computing something different from FitContext: every feature it
-// does support is bit-identical to the in-memory fit, and features that
-// still need the in-memory sequence (the training log-likelihood, the
-// nonlinear M-step's Euler grid, observed trees' parent links) are rejected
-// up front.
+// silently computing something different from FitContext: every variant and
+// kernel it fits is bit-identical to the in-memory fit, and the features
+// that still need the in-memory sequence (the training log-likelihood behind
+// TrackHistory and the guard, observed trees' parent links) are rejected up
+// front.
 type ShardedUnsupportedError struct {
 	Feature string
 }
@@ -33,13 +32,8 @@ func (e *ShardedUnsupportedError) Error() string {
 
 // unsupportedWithoutSequence is the capability check for an event source
 // whose sequence() is nil: it names the first configured feature that reads
-// the in-memory sequence, or returns nil. cfg must be filled.
+// the in-memory sequence, or returns nil.
 func unsupportedWithoutSequence(cfg Config) error {
-	link, err := cfg.Variant.Link()
-	if err != nil {
-		return err
-	}
-	_, linear := link.(hawkes.LinearLink)
 	var feature string
 	switch {
 	case cfg.UseObservedTrees:
@@ -48,12 +42,6 @@ func unsupportedWithoutSequence(cfg Config) error {
 		feature = "TrackHistory (training LL needs the full sequence)"
 	case cfg.Guard.Enabled:
 		feature = "the numerical guard (its LL regression check needs the full sequence)"
-	case !linear && cfg.Variant.ConformityAware:
-		// Nonlinear compensators integrate over an Euler grid whose windows
-		// the batched streaming builder does not assemble.
-		feature = "conformity-aware variants with nonlinear links (Euler-grid compensators need the full sequence; use CHASSIS-L/LI/LN)"
-	case !linear:
-		feature = "nonlinear links"
 	default:
 		return nil
 	}
@@ -184,13 +172,12 @@ func (s *shardSource) sequence() *timeline.Sequence { return nil }
 // columns, and peak memory is bounded by O(events)·12 bytes of flat columns
 // (plus 20 bytes per event while a kernel pass runs) plus one shard of
 // activity structs plus one dimension batch — never the materialized
-// corpus. The supported configuration subset — linear-link variants,
-// conformity-aware (CHASSIS-L/LI/LN) or not (L-HP), with a fixed,
-// parametric-exponential or nonparametric kernel — is bit-identical to
-// FitContext on the equivalent in-memory sequence at every Workers and
-// ShardEvents setting; see DESIGN.md §15–§16 for the argument. Features that
-// read the in-memory sequence fail with *ShardedUnsupportedError before the
-// corpus is scanned.
+// corpus. Every variant — the HP baselines and the conformity-aware family,
+// linear or nonlinear link, with a fixed, parametric-exponential or
+// nonparametric kernel — is bit-identical to FitContext on the equivalent
+// in-memory sequence at every Workers and ShardEvents setting; see DESIGN.md
+// §15–§16 for the argument. Features that read the in-memory sequence fail
+// with *ShardedUnsupportedError before the corpus is scanned.
 //
 // Conformity-aware fits rebuild the pair-history computer from a streaming
 // colstore scan (times, users, polarities) once per conformity refresh,

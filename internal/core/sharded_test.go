@@ -129,13 +129,12 @@ func TestShardedFitExpKernel(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnsupported pins the gate: every feature outside the
-// supported subset fails fast with *ShardedUnsupportedError carrying a
-// feature message specific enough to act on — in particular the remaining
-// conformity combination (nonlinear link) names itself instead of hiding
-// behind the generic baseline gate. Nonparametric kernels left the gate
-// when the kernel pass moved onto the columns; the identity suite
-// (TestShardedNonparametricMatchesInMemory) covers them now.
+// TestShardedRejectsUnsupported pins the gate: every feature that still
+// needs the in-memory sequence fails fast with *ShardedUnsupportedError
+// carrying a feature message specific enough to act on. Every variant and
+// kernel passes the gate; the identity suites
+// (TestShardedNonparametricMatchesInMemory,
+// TestShardedNonlinearMatchesInMemory) cover them.
 func TestShardedRejectsUnsupported(t *testing.T) {
 	d := smallDataset(t, 44)
 	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 500))
@@ -144,8 +143,6 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 		mut  func(*Config)
 		want string // substring of the typed error's Feature
 	}{
-		{"nonlinear", func(c *Config) { c.Variant = VariantEHP }, "nonlinear links"},
-		{"conformity-nonlinear", func(c *Config) { c.Variant = VariantE }, "conformity-aware variants with nonlinear links"},
 		{"observed-trees", func(c *Config) { c.UseObservedTrees = true }, "UseObservedTrees"},
 		{"track-history", func(c *Config) { c.TrackHistory = true }, "TrackHistory"},
 		{"guard", func(c *Config) { c.Guard = guard.Policy{Enabled: true} }, "numerical guard"},
@@ -186,14 +183,7 @@ func TestShardedNonparametricMatchesInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Re-estimated kernels live on the pass's 256-bin grid.
-			estimated := 0
-			for _, k := range ref.Kernels {
-				if dk, ok := k.(*kernel.Discrete); ok && dk.Step == ref.Horizon/256 {
-					estimated++
-				}
-			}
-			if estimated == 0 {
+			if estimatedKernels(ref) == 0 {
 				t.Fatal("the in-memory fit re-estimated no kernel")
 			}
 			for _, workers := range []int{1, 2, 8} {
@@ -214,6 +204,66 @@ func TestShardedNonparametricMatchesInMemory(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// estimatedKernels counts m's kernels on the kernel pass's 256-bin grid:
+// the ones the nonparametric estimate re-estimated.
+func estimatedKernels(m *Model) int {
+	n := 0
+	for _, k := range m.Kernels {
+		if dk, ok := k.(*kernel.Discrete); ok && dk.Step == m.Horizon/256 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestShardedNonlinearMatchesInMemory extends the identity contract to the
+// nonlinear links, whose M-step adds Euler-grid windows from each
+// dimension's source events: E-HP and CHASSIS-E/EI/EN, with nonparametric
+// and exponential kernels, fitted by FitSharded match Fit's fingerprint, and
+// every kernel bit for bit, at every worker count × shard size.
+func TestShardedNonlinearMatchesInMemory(t *testing.T) {
+	forceSmallChunks(t, 48)
+	d := smallDataset(t, 53)
+	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 57))
+	n := rd.NumEvents()
+	for _, v := range []Variant{VariantEHP, VariantE, VariantEI, VariantEN} {
+		for _, expKernel := range []bool{false, true} {
+			name := v.Name() + "/nonparametric"
+			if expKernel {
+				name = v.Name() + "/exp-kernel"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := quickCfg(v)
+				cfg.ExpKernel = expKernel
+				ref, err := Fit(d.Seq, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !expKernel && estimatedKernels(ref) == 0 {
+					t.Fatal("the in-memory fit re-estimated no kernel")
+				}
+				for _, workers := range []int{1, 2, 8} {
+					for _, shard := range []int{1, 130, n} {
+						c := cfg
+						c.Workers = workers
+						c.ShardEvents = shard
+						m, err := FitSharded(context.Background(), rd, c)
+						if err != nil {
+							t.Fatalf("workers=%d shard=%d: %v", workers, shard, err)
+						}
+						if got, want := m.Fingerprint(), ref.Fingerprint(); got != want {
+							t.Errorf("workers=%d shard=%d: fingerprint %s, in-memory %s", workers, shard, got, want)
+						}
+						if err := kernelBitsDiff(m.Kernels, ref.Kernels); err != nil {
+							t.Errorf("workers=%d shard=%d: %v", workers, shard, err)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -354,44 +404,49 @@ func TestShardedCrashResume(t *testing.T) {
 }
 
 // TestShardedConformityCrashResume is the crash-resume contract for the
-// lifted conformity subset: the resumed fit rebuilds its conformity snapshot
-// from the checkpointed forest before continuing, so the final model matches
-// an uninterrupted run even across a worker-count and shard-size change.
+// conformity-aware variants, linear and nonlinear link: the resumed fit
+// rebuilds its conformity snapshot from the checkpointed forest before
+// continuing, so the final model matches an uninterrupted run even across a
+// worker-count and shard-size change.
 func TestShardedConformityCrashResume(t *testing.T) {
 	forceSmallChunks(t, 48)
 	d := smallDataset(t, 51)
-	cfg := quickCfg(VariantL)
-	cfg.FixedKernel = true
 	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 300))
+	for _, v := range []Variant{VariantL, VariantE} {
+		t.Run(v.Name(), func(t *testing.T) {
+			cfg := quickCfg(v)
+			cfg.FixedKernel = true
 
-	base, err := FitSharded(context.Background(), rd, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := base.Fingerprint()
+			base, err := FitSharded(context.Background(), rd, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := base.Fingerprint()
 
-	dir := t.TempDir()
-	cc := cfg
-	cc.CheckpointDir = dir
-	cc.CheckpointEvery = 1
-	cc.Workers = 2
-	cc.ShardEvents = 100
-	faultinject.CrashAfterIter = func(iter int) bool { return iter == 2 }
-	_, err = FitSharded(context.Background(), rd, cc)
-	faultinject.Reset()
-	if !errors.Is(err, faultinject.ErrInjectedCrash) {
-		t.Fatalf("crash-at-2 conformity sharded fit: got %v, want ErrInjectedCrash", err)
-	}
+			dir := t.TempDir()
+			cc := cfg
+			cc.CheckpointDir = dir
+			cc.CheckpointEvery = 1
+			cc.Workers = 2
+			cc.ShardEvents = 100
+			faultinject.CrashAfterIter = func(iter int) bool { return iter == 2 }
+			_, err = FitSharded(context.Background(), rd, cc)
+			faultinject.Reset()
+			if !errors.Is(err, faultinject.ErrInjectedCrash) {
+				t.Fatalf("crash-at-2 conformity sharded fit: got %v, want ErrInjectedCrash", err)
+			}
 
-	cc.Resume = true
-	cc.Workers = 1
-	cc.ShardEvents = 1
-	m, err := FitSharded(context.Background(), rd, cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Fingerprint(); got != want {
-		t.Errorf("resumed conformity sharded fingerprint %s, uninterrupted %s", got, want)
+			cc.Resume = true
+			cc.Workers = 1
+			cc.ShardEvents = 1
+			m, err := FitSharded(context.Background(), rd, cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Fingerprint(); got != want {
+				t.Errorf("resumed conformity sharded fingerprint %s, uninterrupted %s", got, want)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 type eventSource interface {
 	// columns returns the chronological (time, user) columns: everything
 	// the kernel-support heuristic, the source rankings, initParams, the
-	// batched M-step and the kernel pass read.
+	// M-step and the kernel pass read.
 	columns() *eventCols
 	// forEachWindow hands fn, one at a time, activity windows holding
 	// global events [off, off+len(win)) together with the chunks of the
@@ -28,9 +28,8 @@ type eventSource interface {
 	// never resumed against the other representation.
 	dataHash() string
 	// sequence returns the parent-stripped training sequence, or nil when
-	// the events are not in memory. The nonlinear M-step and the training
-	// log-likelihood read it, so a source without one is gated by
-	// unsupportedWithoutSequence.
+	// the events are not in memory. Only the training log-likelihood reads
+	// it, so a source without one is gated by unsupportedWithoutSequence.
 	sequence() *timeline.Sequence
 }
 

@@ -99,25 +99,8 @@ func NewStrategy(name string, opts FitOptions) (Strategy, error) {
 	case "MMEL":
 		return &mmelStrategy{opts: opts}, nil
 	}
-	var v core.Variant
-	switch name {
-	case "L-HP":
-		v = core.VariantLHP
-	case "E-HP":
-		v = core.VariantEHP
-	case "CHASSIS-L":
-		v = core.VariantL
-	case "CHASSIS-E":
-		v = core.VariantE
-	case "CHASSIS-LI":
-		v = core.VariantLI
-	case "CHASSIS-LN":
-		v = core.VariantLN
-	case "CHASSIS-EI":
-		v = core.VariantEI
-	case "CHASSIS-EN":
-		v = core.VariantEN
-	default:
+	v, err := core.VariantByName(name)
+	if err != nil {
 		return nil, fmt.Errorf("experiments: unknown strategy %q", name)
 	}
 	return &chassisStrategy{variant: v, opts: opts}, nil
