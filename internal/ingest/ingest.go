@@ -15,7 +15,6 @@
 package ingest
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"math"
@@ -24,6 +23,7 @@ import (
 
 	"chassis/internal/core"
 	"chassis/internal/hawkes"
+	"chassis/internal/lru"
 	"chassis/internal/obs"
 	"chassis/internal/timeline"
 )
@@ -76,8 +76,7 @@ type Store struct {
 	cfg Config
 
 	mu      sync.Mutex
-	byID    map[string]*list.Element
-	order   *list.List // front = most recently touched
+	live    *lru.Map[string, *cascade] // by cascade id, most recently touched first
 	evicted map[string]struct{}
 	logger  AppendLogger
 
@@ -98,16 +97,19 @@ type cascade struct {
 
 // NewStore builds a store; metrics may be nil.
 func NewStore(cfg Config, m *obs.Metrics) *Store {
-	return &Store{
+	s := &Store{
 		cfg:       cfg.withDefaults(),
-		byID:      map[string]*list.Element{},
-		order:     list.New(),
 		evicted:   map[string]struct{}{},
 		events:    m.Counter("ingest.events"),
 		rebuilds:  m.Counter("ingest.rebuilds"),
 		evictions: m.Counter("ingest.cascades_evicted"),
 		cascades:  m.Gauge("ingest.cascades"),
 	}
+	s.live = lru.New(s.cfg.MaxCascades, func(id string, _ *cascade) {
+		s.rememberEvictedLocked(id)
+		s.evictions.Inc()
+	})
+	return s
 }
 
 // AppendLogger persists one successfully applied batch to a durability
@@ -285,11 +287,7 @@ type CascadeDump struct {
 func (s *Store) snapshot() []*cascade {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	els := make([]*cascade, 0, s.order.Len())
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		els = append(els, el.Value.(*cascade))
-	}
-	return els
+	return s.live.Values()
 }
 
 // Dump copies every non-empty cascade's tail, most recently touched first —
@@ -335,27 +333,39 @@ func (s *Store) DumpSynced(model *core.Model, proc *hawkes.Process, version int6
 // produced by Dump: most recently touched first). Accumulators and parents
 // are left version-unbound and rebuilt from the tails on each cascade's
 // next touch — the same lazy path a hot-reload takes — so restored state is
-// bit-identical to having appended the same events live.
+// bit-identical to having appended the same events live. A malformed dump
+// (an empty or duplicate id) is refused whole, leaving the store as it was.
+// A dump longer than MaxCascades (the cap was lowered across a restart)
+// restores its newest MaxCascades cascades; the rest are remembered as
+// evicted, so State answers ErrEvicted for them.
 func (s *Store) Restore(dumps []CascadeDump) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byID = map[string]*list.Element{}
-	s.order = list.New()
-	s.evicted = map[string]struct{}{}
-	total := 0
-	for i := len(dumps) - 1; i >= 0; i-- { // oldest first, so PushFront recreates the order
-		d := dumps[i]
+	seen := make(map[string]struct{}, len(dumps))
+	for i, d := range dumps {
 		if d.ID == "" {
 			return fmt.Errorf("ingest: restore: dump %d has an empty cascade id", i)
 		}
-		if _, dup := s.byID[d.ID]; dup {
+		if _, dup := seen[d.ID]; dup {
 			return fmt.Errorf("ingest: restore: duplicate cascade id %q", d.ID)
 		}
-		c := &cascade{id: d.ID, version: -1, events: append([]timeline.Activity(nil), d.Events...)}
-		s.byID[d.ID] = s.order.PushFront(c)
+		seen[d.ID] = struct{}{}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.live.Clear()
+	s.evicted = map[string]struct{}{}
+	if limit := s.cfg.MaxCascades; limit > 0 && len(dumps) > limit {
+		for _, d := range dumps[limit:] {
+			s.rememberEvictedLocked(d.ID)
+		}
+		dumps = dumps[:limit]
+	}
+	total := 0
+	for i := len(dumps) - 1; i >= 0; i-- { // oldest first, so each Put recreates the order
+		d := dumps[i]
+		s.live.Put(d.ID, &cascade{id: d.ID, version: -1, events: append([]timeline.Activity(nil), d.Events...)})
 		total += len(d.Events)
 	}
-	s.cascades.Set(float64(s.order.Len()))
+	s.cascades.Set(float64(s.live.Len()))
 	s.events.Add(int64(total))
 	return nil
 }
@@ -391,19 +401,13 @@ func MergedDumps(train *timeline.Sequence, parents []timeline.ActivityID, dumps 
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.live.Len()
 }
 
 // EventCount reports the total events across all live cascades.
 func (s *Store) EventCount() int {
-	s.mu.Lock()
-	els := make([]*cascade, 0, s.order.Len())
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		els = append(els, el.Value.(*cascade))
-	}
-	s.mu.Unlock()
 	total := 0
-	for _, c := range els {
+	for _, c := range s.snapshot() {
 		c.mu.Lock()
 		total += len(c.events)
 		c.mu.Unlock()
@@ -420,9 +424,8 @@ func (s *Store) touch(id string, create bool) (*cascade, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byID[id]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*cascade), nil
+	if c, ok := s.live.Get(id); ok {
+		return c, nil
 	}
 	if !create {
 		if _, was := s.evicted[id]; was {
@@ -432,20 +435,18 @@ func (s *Store) touch(id string, create bool) (*cascade, error) {
 	}
 	delete(s.evicted, id) // re-ingesting starts the cascade over
 	c := &cascade{id: id, version: -1}
-	s.byID[id] = s.order.PushFront(c)
-	for s.cfg.MaxCascades > 0 && s.order.Len() > s.cfg.MaxCascades {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		gone := oldest.Value.(*cascade).id
-		delete(s.byID, gone)
-		if len(s.evicted) >= evictedMemory {
-			s.evicted = map[string]struct{}{}
-		}
-		s.evicted[gone] = struct{}{}
-		s.evictions.Inc()
-	}
-	s.cascades.Set(float64(s.order.Len()))
+	s.live.Put(id, c)
+	s.cascades.Set(float64(s.live.Len()))
 	return c, nil
+}
+
+// rememberEvictedLocked records a cascade evicted past MaxCascades, so
+// State can answer ErrEvicted for it. Caller holds s.mu.
+func (s *Store) rememberEvictedLocked(id string) {
+	if len(s.evicted) >= evictedMemory {
+		s.evicted = map[string]struct{}{}
+	}
+	s.evicted[id] = struct{}{}
 }
 
 // syncLocked rebinds the cascade to the given snapshot version: on a

@@ -380,6 +380,54 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreOverCap: a dump longer than MaxCascades (the cap was lowered
+// across a restart) restores the newest MaxCascades cascades and remembers
+// the rest as evicted, without counting them as evictions or as events. A
+// duplicate id is refused even when the cap would drop its first copy, and
+// a refused dump leaves the store as it was.
+func TestRestoreOverCap(t *testing.T) {
+	m, proc, tail := fixture(t)
+	metrics := obs.NewMetrics()
+	s := NewStore(Config{MaxCascades: 2}, metrics)
+	dumps := []CascadeDump{ // most recently touched first, as Dump writes them
+		{ID: "c3", Events: tail[:4]},
+		{ID: "c2", Events: tail[:3]},
+		{ID: "c1", Events: tail[:2]},
+		{ID: "c0", Events: tail[:1]},
+	}
+	if err := s.Restore(dumps); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 2 || s.EventCount() != 7 {
+		t.Fatalf("restored %d cascades / %d events, want 2 / 7", s.Len(), s.EventCount())
+	}
+	if got := metrics.Counter("ingest.events").Value(); got != 7 {
+		t.Errorf("ingest.events = %d, want 7 (live cascades only)", got)
+	}
+	if got := metrics.Counter("ingest.cascades_evicted").Value(); got != 0 {
+		t.Errorf("cascades_evicted = %d, want 0", got)
+	}
+	if got := s.Dump(); len(got) != 2 || got[0].ID != "c3" || got[1].ID != "c2" {
+		t.Fatalf("restored order %+v, want c3, c2", got)
+	}
+	for _, id := range []string{"c1", "c0"} {
+		if _, _, err := s.State(m, proc, 1, id, 0); !errors.Is(err, ErrEvicted) {
+			t.Errorf("%s past the cap returned %v, want ErrEvicted", id, err)
+		}
+	}
+	if _, _, err := s.State(m, proc, 1, "c3", 0); err != nil {
+		t.Errorf("restored cascade unresolvable: %v", err)
+	}
+
+	dup := []CascadeDump{{ID: "a"}, {ID: "c"}, {ID: "b"}, {ID: "a"}}
+	if err := s.Restore(dup); err == nil {
+		t.Error("duplicate cascade id past the cap accepted by Restore")
+	}
+	if s.Len() != 2 || s.EventCount() != 7 {
+		t.Errorf("refused Restore changed the store: %d cascades / %d events", s.Len(), s.EventCount())
+	}
+}
+
 // TestDumpSyncedPure: DumpSynced is a pure function of the stored events
 // and the version — sorted by cascade ID, indifferent to which cascade was
 // touched (read) last, with parents freshly attributed. Two stores holding

@@ -70,6 +70,10 @@ type Dispatcher struct {
 	queue    chan *job
 	quit     chan struct{}
 	stopOnce sync.Once
+	// admit makes Do's draining check and its pending.Add one step that
+	// Drain's flip cannot split: an accepted job is always counted before
+	// Drain starts waiting for pending to reach zero.
+	admit    sync.RWMutex
 	draining atomic.Bool
 	pending  sync.WaitGroup // accepted-but-unfinished jobs
 	done     chan struct{}  // collector exited
@@ -96,12 +100,15 @@ func NewDispatcher(cfg BatchConfig, metrics *obs.Metrics) *Dispatcher {
 // drain has begun, ErrQueueFull when the bounded queue is at depth;
 // prediction results and errors travel through fn's closure.
 func (d *Dispatcher) Do(ctx context.Context, fn func(ctx context.Context, workers int)) error {
+	d.admit.RLock()
 	if d.draining.Load() {
+		d.admit.RUnlock()
 		d.metrics.Counter("serve.dispatch.rejected_draining").Inc()
 		return ErrDraining
 	}
-	j := &job{ctx: ctx, fn: fn, done: make(chan struct{})}
 	d.pending.Add(1)
+	d.admit.RUnlock()
+	j := &job{ctx: ctx, fn: fn, done: make(chan struct{})}
 	select {
 	case d.queue <- j:
 	default:
@@ -119,7 +126,9 @@ func (d *Dispatcher) Do(ctx context.Context, fn func(ctx context.Context, worker
 // ctx's error if the deadline expires first (the collector keeps flushing
 // regardless). Idempotent.
 func (d *Dispatcher) Drain(ctx context.Context) error {
+	d.admit.Lock()
 	d.draining.Store(true)
+	d.admit.Unlock()
 	flushed := make(chan struct{})
 	go func() {
 		d.pending.Wait()

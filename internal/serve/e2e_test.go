@@ -3,13 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -38,13 +41,26 @@ func TestEndToEndReloadUnderLoad(t *testing.T) {
 	results := make([][]sample, clients)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*perClient+reloadCount)
+	// Each client sends at least perClient requests and keeps sending until
+	// every reload has landed, and the reloader installs the next model only
+	// once a response has carried the version it just installed. So both
+	// models serve requests however fast a prediction runs next to a reload.
+	reloadsDone := make(chan struct{})
+	var newest atomic.Int64 // highest version header a response carried
 
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		c := c
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perClient; i++ {
+			for i := 0; ; i++ {
+				if i >= perClient {
+					select {
+					case <-reloadsDone:
+						return
+					default:
+					}
+				}
 				resp, err := http.Post(ts.URL+"/v1/predict/next", "application/json",
 					strings.NewReader(validNextBody))
 				if err != nil {
@@ -66,6 +82,9 @@ func TestEndToEndReloadUnderLoad(t *testing.T) {
 					errs <- fmt.Errorf("client %d request %d: missing version header", c, i)
 					return
 				}
+				if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > newest.Load() {
+					newest.Store(n)
+				}
 				results[c] = append(results[c], sample{version: v, body: string(body)})
 			}
 		}()
@@ -77,6 +96,7 @@ func TestEndToEndReloadUnderLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(reloadsDone)
 		blobs := [][]byte{fixModelB, fixModelA}
 		for i := 0; i < reloadCount; i++ {
 			if err := os.WriteFile(src.ModelPath, blobs[i%2], 0o644); err != nil {
@@ -88,12 +108,23 @@ func TestEndToEndReloadUnderLoad(t *testing.T) {
 				errs <- err
 				return
 			}
+			var rj reloadJSON
+			err = json.NewDecoder(resp.Body).Decode(&rj)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("reload %d: status %d", i, resp.StatusCode)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("reload %d: status %d, %v", i, resp.StatusCode, err)
 				return
 			}
-			time.Sleep(2 * time.Millisecond)
+			// A racing client can lower newest for a moment; the responses
+			// that follow carry the current version and raise it again.
+			deadline := time.Now().Add(10 * time.Second)
+			for newest.Load() < rj.Version {
+				if time.Now().After(deadline) {
+					errs <- fmt.Errorf("reload %d: no response carried version %d", i, rj.Version)
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}()
 	wg.Wait()

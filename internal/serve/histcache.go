@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,6 +8,7 @@ import (
 	"sync"
 
 	"chassis/internal/hawkes"
+	"chassis/internal/lru"
 	"chassis/internal/obs"
 	"chassis/internal/timeline"
 )
@@ -70,18 +70,11 @@ func prefixDigests(seq *timeline.Sequence) []string {
 // that hits or extends it.
 type histCache struct {
 	mu      sync.Mutex
-	cap     int
 	version int64 // model version the entries were computed under
-	byKey   map[string]*list.Element
-	order   *list.List // front = most recently used
+	lru     *lru.Map[string, *hawkes.StateAccum]
 
 	hits, extends, misses, evictions, purges *obs.Counter
 	entries                                  *obs.Gauge
-}
-
-type histEntry struct {
-	key   string
-	accum *hawkes.StateAccum
 }
 
 // newHistCache builds a cache holding up to capacity accumulators. capacity
@@ -94,10 +87,7 @@ func newHistCache(capacity int, m *obs.Metrics) *histCache {
 	if capacity == 0 {
 		capacity = defaultHistCacheSize
 	}
-	return &histCache{
-		cap:       capacity,
-		byKey:     map[string]*list.Element{},
-		order:     list.New(),
+	c := &histCache{
 		hits:      m.Counter("serve.histcache.hits"),
 		extends:   m.Counter("serve.histcache.extends"),
 		misses:    m.Counter("serve.histcache.misses"),
@@ -105,6 +95,8 @@ func newHistCache(capacity int, m *obs.Metrics) *histCache {
 		purges:    m.Counter("serve.histcache.purges"),
 		entries:   m.Gauge("serve.histcache.entries"),
 	}
+	c.lru = lru.New(capacity, func(string, *hawkes.StateAccum) { c.evictions.Inc() })
+	return c
 }
 
 // lookup classifies a request's prefix keys against the cache under the
@@ -126,17 +118,15 @@ func (c *histCache) lookup(version int64, keys []string) (accum *hawkes.StateAcc
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.purgeIfStaleLocked(version)
-	if el, ok := c.byKey[keys[len(keys)-1]]; ok {
-		c.order.MoveToFront(el)
+	if accum, ok := c.lru.Get(keys[len(keys)-1]); ok {
 		c.hits.Inc()
-		return el.Value.(*histEntry).accum, len(keys)
+		return accum, len(keys)
 	}
 	// Longest proper prefix wins: scan from the deepest candidate down.
 	for k := len(keys) - 2; k >= 0; k-- {
-		if el, ok := c.byKey[keys[k]]; ok {
-			c.order.MoveToFront(el)
+		if accum, ok := c.lru.Get(keys[k]); ok {
 			c.extends.Inc()
-			return el.Value.(*histEntry).accum.Clone(), k + 1
+			return accum.Clone(), k + 1
 		}
 	}
 	c.misses.Inc()
@@ -155,21 +145,10 @@ func (c *histCache) put(version int64, key string, accum *hawkes.StateAccum) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.purgeIfStaleLocked(version)
-	if el, ok := c.byKey[key]; ok {
-		// Concurrent misses on the same key race to insert; both computed
-		// the same bit-identical value, so last-write-wins is benign.
-		el.Value.(*histEntry).accum = accum
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&histEntry{key: key, accum: accum})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*histEntry).key)
-		c.evictions.Inc()
-	}
-	c.entries.Set(float64(c.order.Len()))
+	// Concurrent misses on the same key race to insert; both computed the
+	// same bit-identical value, so last-write-wins is benign.
+	c.lru.Put(key, accum)
+	c.entries.Set(float64(c.lru.Len()))
 }
 
 // purgeIfStaleLocked drops every entry when the model version moved:
@@ -178,12 +157,11 @@ func (c *histCache) purgeIfStaleLocked(version int64) {
 	if c.version == version {
 		return
 	}
-	if c.order.Len() > 0 {
+	if c.lru.Len() > 0 {
 		c.purges.Inc()
 	}
 	c.version = version
-	c.byKey = map[string]*list.Element{}
-	c.order.Init()
+	c.lru.Clear()
 	c.entries.Set(0)
 }
 
@@ -194,5 +172,5 @@ func (c *histCache) len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.Len()
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"chassis/internal/ingest"
@@ -147,80 +146,36 @@ func (req *IngestRequest) eventSequence(m int) ([]timeline.Activity, string, err
 	return seq.Activities, repairs, nil
 }
 
-// handleIngest serves POST /v1/ingest.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.Counter("serve.ingest.requests").Inc()
-	fail := func(err error) {
-		s.metrics.Counter("serve.ingest.errors").Inc()
-		writeError(w, err)
-	}
-	if r.Method != http.MethodPost {
-		fail(&Error{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
-			Message: "use POST"})
-		return
-	}
-	// Pin the snapshot: the append's validation, parent attribution, and
-	// state update all read exactly this version.
-	snap := s.reg.Current()
-	if snap == nil {
-		fail(ErrNotReady)
-		return
-	}
+// prepareIngest prepares POST /v1/ingest. The append rides the prediction
+// dispatcher: one bounded queue applies backpressure to the whole /v1
+// surface, so shed accounting partitions exactly across ingest and predict
+// traffic.
+func (s *Server) prepareIngest(r *http.Request, snap *ModelSnapshot) (*v1Work, error) {
 	if s.wal != nil {
 		// Replay owns the store until recovery completes; afterwards, a
 		// wedged or backlogged WAL sheds ingest (the event would not be
 		// durable) while the read path stays up.
 		if !s.walRecovered.Load() {
-			fail(ErrReplaying)
-			return
+			return nil, ErrReplaying
 		}
 		if s.wal.Stalled() {
 			s.metrics.Counter("serve.ingest.shed_wal").Inc()
-			fail(ErrWALStalled)
-			return
+			return nil, ErrWALStalled
 		}
 	}
 	req, err := decodeIngestRequest(r.Body)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	if err := req.validate(); err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	acts, repairs, err := req.eventSequence(snap.M)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
-	ctx := r.Context()
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	// The append rides the prediction dispatcher: one bounded queue applies
-	// backpressure to the whole /v1 surface, so shed accounting partitions
-	// exactly across ingest and predict traffic.
-	var body []byte
-	var perr error
 	var res *ingest.Result
-	derr := s.disp.Do(ctx, func(ctx context.Context, workers int) {
-		defer func() {
-			if v := recover(); v != nil {
-				perr = badRequest("ingest panicked: %v", v)
-			}
-		}()
-		if err := ctx.Err(); err != nil {
-			perr = err
-			return
-		}
+	run := func(ctx context.Context, workers int) ([]byte, error) {
 		// The gate's read side spans apply+log so a compaction snapshot
 		// (write side) can never observe an applied-but-unlogged batch; the
 		// logger only enqueues, so no disk I/O happens on the dispatcher.
@@ -230,42 +185,30 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		r0, err := s.store.Append(snap.Model, snap.Proc, snap.Version, req.CascadeID, acts)
 		if err != nil {
-			perr = err
-			return
+			return nil, err
 		}
 		res = r0
-		out := IngestResponse{
+		return json.Marshal(IngestResponse{
 			CascadeID: res.Cascade, Events: res.Events, Appended: res.Appended,
 			Parents: res.Parents, Rebuilt: res.Rebuilt, Repairs: repairs,
-		}
-		body, perr = json.Marshal(out)
-	})
-	if derr != nil {
-		fail(derr)
-		return
-	}
-	if perr != nil {
-		fail(perr)
-		return
+		})
 	}
 	// Acknowledge only durable appends: under sync=always this blocks until
 	// the record's batch is fsynced (a stall sheds with a typed 503 — the
 	// events are applied in memory but the client must not trust them
 	// persisted). Under sync=interval/off WaitDurable returns immediately
 	// and the acknowledged-durability window is the sync interval.
-	if s.wal != nil && res != nil && res.LSN > 0 {
-		if werr := s.wal.WaitDurable(res.LSN); werr != nil {
-			s.metrics.Counter("serve.ingest.shed_wal").Inc()
-			fail(werr)
-			return
+	after := func() error {
+		if s.wal != nil && res.LSN > 0 {
+			if err := s.wal.WaitDurable(res.LSN); err != nil {
+				s.metrics.Counter("serve.ingest.shed_wal").Inc()
+				return err
+			}
 		}
+		s.maybeCompactWAL()
+		return nil
 	}
-	s.maybeCompactWAL()
-	s.metrics.Timer("serve.ingest.latency").Add(time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(modelVersionHeader, strconv.FormatInt(snap.Version, 10))
-	//nolint:errcheck // best-effort write to a client that may be gone
-	w.Write(body)
+	return &v1Work{timeoutMS: req.TimeoutMS, run: run, after: after}, nil
 }
 
 // refitOnce runs one incremental EM refresh: merge the training timeline

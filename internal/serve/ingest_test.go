@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"chassis/internal/obs"
+	"chassis/internal/timeline"
 )
 
 // errEnvelope mirrors the versioned error schema for decoding in tests.
@@ -283,6 +284,25 @@ func TestIngestRefitInstallsNewVersion(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/admin/refit", "")
 	wantAPIError(t, resp, body, http.StatusConflict, "reload_conflict")
 	s.refitBusy.Store(false)
+}
+
+// TestIngestPanicAnswers500: a panic inside the ingest work is a server
+// fault, not a client error. That one request answers 500 internal and
+// counts as an ingest error, and the server keeps serving.
+func TestIngestPanicAnswers500(t *testing.T) {
+	metrics := obs.NewMetrics()
+	s, ts := newTestServer(t, func(c *Config) { c.Metrics = metrics })
+	s.store.SetLogger(func(string, []timeline.Activity) (int64, error) { panic("injected") })
+
+	resp, body := postJSON(t, ts.URL+"/v1/ingest", ingestBody(t, "c", ingestEvents(), false))
+	wantAPIError(t, resp, body, http.StatusInternalServerError, "internal")
+	if v := metrics.Counter("serve.ingest.errors").Value(); v != 1 {
+		t.Errorf("serve.ingest.errors = %d, want 1", v)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/predict/next", validNextBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after an ingest panic: %d %s", resp.StatusCode, body)
+	}
 }
 
 // TestIngestConcurrentE2E exercises the whole /v1 surface at once under the

@@ -291,10 +291,10 @@ func (s *Server) closeWAL() error {
 func (s *Server) CloseWAL() error { return s.closeWAL() }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("/v1/predict/next", s.handlePredict(false))
-	s.mux.HandleFunc("/v1/predict/counts", s.handlePredict(true))
-	s.mux.HandleFunc("/v1/influence", s.handleInfluence)
-	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
+	s.mux.HandleFunc("/v1/predict/next", s.serveV1("next", s.preparePredict(false)))
+	s.mux.HandleFunc("/v1/predict/counts", s.serveV1("counts", s.preparePredict(true)))
+	s.mux.HandleFunc("/v1/influence", s.serveV1("influence", s.prepareInfluence))
+	s.mux.HandleFunc("/v1/ingest", s.serveV1("ingest", s.prepareIngest))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -314,37 +314,118 @@ func (s *Server) routes() {
 // stay bit-identical across reloads of the same model file.
 const modelVersionHeader = "X-Chassis-Model-Version"
 
-// handlePredict serves both prediction endpoints; counts selects
-// /v1/predict/counts semantics, otherwise /v1/predict/next.
-func (s *Server) handlePredict(counts bool) http.HandlerFunc {
-	name := "next"
-	if counts {
-		name = "counts"
-	}
+// v1Work is what one /v1 endpoint hands the shared request path once it
+// has decoded and validated its body against the pinned snapshot.
+type v1Work struct {
+	// timeoutMS is the request's timeout_ms; it can tighten the server's
+	// RequestTimeout but not extend it.
+	timeoutMS int
+	// run is the work the dispatcher executes; it returns the response body.
+	run func(ctx context.Context, workers int) ([]byte, error)
+	// after, when non-nil, runs on the handler goroutine once run succeeded
+	// (ingest's durability wait) and can still fail the request.
+	after func() error
+}
+
+// v1Prepare decodes and validates one /v1 request against snap.
+type v1Prepare func(r *http.Request, snap *ModelSnapshot) (*v1Work, error)
+
+// serveV1 is the one request path of every /v1 endpoint. It counts the
+// request, checks the method, pins the model snapshot, lets the endpoint
+// prepare its work, runs that work on the dispatcher under the request's
+// deadline, and writes the body with the snapshot's version header. Every
+// failure, a panic in the work included, is counted and written as the
+// shared error envelope; a panic answers 500 internal for that one request.
+func (s *Server) serveV1(name string, prepare v1Prepare) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.metrics.Counter("serve." + name + ".requests").Inc()
-		fail := func(err error) {
+		snap, body, err := s.runV1(r, name, prepare)
+		if err != nil {
 			s.metrics.Counter("serve." + name + ".errors").Inc()
 			writeError(w, err)
-		}
-		if r.Method != http.MethodPost {
-			fail(&Error{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
-				Message: "use POST"})
 			return
 		}
-		// Pin the model snapshot once: everything below — validation
-		// against M, the simulation, the response header — sees exactly
-		// this version even if a reload lands mid-request.
-		snap := s.reg.Current()
-		if snap == nil {
-			fail(ErrNotReady)
+		s.metrics.Timer("serve." + name + ".latency").Add(time.Since(start))
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set(modelVersionHeader, strconv.FormatInt(snap.Version, 10))
+		//nolint:errcheck // best-effort write to a client that may be gone
+		w.Write(body)
+	}
+}
+
+// runV1 is serveV1 between counting the request and writing the answer:
+// it returns the pinned snapshot and the response body, or the failure.
+func (s *Server) runV1(r *http.Request, name string, prepare v1Prepare) (*ModelSnapshot, []byte, error) {
+	if r.Method != http.MethodPost {
+		return nil, nil, &Error{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
+			Message: "use POST"}
+	}
+	// Pin the model snapshot once: validation, the work and the response
+	// header all see exactly this version even if a reload lands mid-request.
+	snap := s.reg.Current()
+	if snap == nil {
+		return nil, nil, ErrNotReady
+	}
+	work, err := prepare(r, snap)
+	if err != nil {
+		return nil, nil, err
+	}
+	timeout := s.cfg.RequestTimeout
+	if work.timeoutMS > 0 {
+		if t := time.Duration(work.timeoutMS) * time.Millisecond; t < timeout {
+			timeout = t
+		}
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+
+	var body []byte
+	var werr error
+	err = s.disp.Do(ctx, func(ctx context.Context, workers int) {
+		defer func() {
+			if v := recover(); v != nil {
+				werr = fmt.Errorf("%s panicked: %v", name, v)
+			}
+		}()
+		// A deadline that expired while the request sat in the queue
+		// costs nothing further.
+		if werr = ctx.Err(); werr != nil {
 			return
 		}
+		body, werr = work.run(ctx, workers)
+	})
+	if err == nil {
+		err = werr
+	}
+	if err == nil && work.after != nil {
+		err = work.after()
+	}
+	return snap, body, err
+}
+
+// history resolves what a read request conditions on: the live cascade
+// named by cascade_id (its continuation state and a detached copy of its
+// tail) or the inline history. A cascade answers 503 replaying until WAL
+// recovery completes: its state could still miss acknowledged events.
+func (s *Server) history(req *PredictRequest, snap *ModelSnapshot) (*hawkes.ContState, *timeline.Sequence, error) {
+	if req.CascadeID == "" {
+		hist, err := req.historySequence(snap.M)
+		return nil, hist, err
+	}
+	if s.wal != nil && !s.walRecovered.Load() {
+		return nil, nil, ErrReplaying
+	}
+	return s.store.State(snap.Model, snap.Proc, snap.Version, req.CascadeID, req.Horizon)
+}
+
+// preparePredict prepares /v1/predict/counts when counts is set, otherwise
+// /v1/predict/next.
+func (s *Server) preparePredict(counts bool) v1Prepare {
+	return func(r *http.Request, snap *ModelSnapshot) (*v1Work, error) {
 		req, err := decodeRequest(r)
 		if err != nil {
-			fail(err)
-			return
+			return nil, err
 		}
 		if counts {
 			err = req.validateCounts()
@@ -352,39 +433,14 @@ func (s *Server) handlePredict(counts bool) http.HandlerFunc {
 			err = req.validateNext()
 		}
 		if err != nil {
-			fail(err)
-			return
+			return nil, err
 		}
-		// Condition the forecast: on an inline history, or — with
-		// cascade_id — on the live state the server has been ingesting,
-		// which IS the cached continuation, extended in place by every
-		// append and merely finalized here (no per-request replay).
-		var hist *timeline.Sequence
-		var cascadeSt *hawkes.ContState
-		if req.CascadeID != "" {
-			// Live-cascade state is incomplete until replay finishes; an
-			// answer now could silently miss already-acknowledged events.
-			if s.wal != nil && !s.walRecovered.Load() {
-				fail(ErrReplaying)
-				return
-			}
-			cascadeSt, hist, err = s.store.State(snap.Model, snap.Proc, snap.Version, req.CascadeID, req.Horizon)
-		} else {
-			hist, err = req.historySequence(snap.M)
-		}
+		// A cascade_id's live state IS the cached continuation, extended in
+		// place by every append and merely finalized here.
+		cascadeSt, hist, err := s.history(req, snap)
 		if err != nil {
-			fail(err)
-			return
+			return nil, err
 		}
-		ctx := r.Context()
-		timeout := s.cfg.RequestTimeout
-		if req.TimeoutMS > 0 {
-			if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-				timeout = t
-			}
-		}
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
 
 		// Fastpath state caching, incrementally: the history's prefix keys
 		// classify against the cache as a hit (finalize the cached
@@ -401,21 +457,7 @@ func (s *Server) handlePredict(counts bool) http.HandlerFunc {
 			keys = prefixDigests(hist)
 			accum, covered = s.cache.lookup(snap.Version, keys)
 		}
-
-		var body []byte
-		var perr error
-		derr := s.disp.Do(ctx, func(ctx context.Context, workers int) {
-			defer func() {
-				if v := recover(); v != nil {
-					perr = fmt.Errorf("prediction panicked: %v", v)
-				}
-			}()
-			// A deadline that expired while the request sat in the queue
-			// costs nothing further.
-			if err := ctx.Err(); err != nil {
-				perr = err
-				return
-			}
+		run := func(ctx context.Context, workers int) ([]byte, error) {
 			st := cascadeSt
 			if len(keys) > 0 {
 				if accum != nil && !snap.Proc.UsableAccum(accum) {
@@ -442,124 +484,47 @@ func (s *Server) handlePredict(counts bool) http.HandlerFunc {
 				opts.Window = req.Window
 				fc, err := predict.Counts(snap.Proc, hist, opts)
 				if err != nil {
-					perr = err
-					return
+					return nil, err
 				}
-				body, perr = predict.EncodeCounts(fc)
-			} else {
-				opts.Lookahead = req.Lookahead
-				n, err := predict.Next(snap.Proc, hist, opts)
-				if err != nil {
-					perr = err
-					return
-				}
-				body, perr = predict.EncodeNext(n)
+				return predict.EncodeCounts(fc)
 			}
-		})
-		if derr != nil {
-			fail(derr)
-			return
+			opts.Lookahead = req.Lookahead
+			n, err := predict.Next(snap.Proc, hist, opts)
+			if err != nil {
+				return nil, err
+			}
+			return predict.EncodeNext(n)
 		}
-		if perr != nil {
-			fail(perr)
-			return
-		}
-		s.metrics.Timer("serve." + name + ".latency").Add(time.Since(start))
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(modelVersionHeader, strconv.FormatInt(snap.Version, 10))
-		//nolint:errcheck // best-effort write to a client that may be gone
-		w.Write(body)
+		return &v1Work{timeoutMS: req.TimeoutMS, run: run}, nil
 	}
 }
 
-// handleInfluence serves /v1/influence: the participant-level influence
+// prepareInfluence prepares /v1/influence: the participant-level influence
 // decomposition of the request history under the served model's posterior
 // parent distributions (predict.Influence). The request body is the shared
 // PredictRequest schema; lookahead/window/draws/seed are ignored — the
 // decomposition is a deterministic expectation, not a Monte-Carlo forecast,
 // so equal (model, history) pairs always produce identical bytes.
-func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.Counter("serve.influence.requests").Inc()
-	fail := func(err error) {
-		s.metrics.Counter("serve.influence.errors").Inc()
-		writeError(w, err)
-	}
-	if r.Method != http.MethodPost {
-		fail(&Error{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
-			Message: "use POST"})
-		return
-	}
-	snap := s.reg.Current()
-	if snap == nil {
-		fail(ErrNotReady)
-		return
-	}
+func (s *Server) prepareInfluence(r *http.Request, snap *ModelSnapshot) (*v1Work, error) {
 	req, err := decodeRequest(r)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	if err := req.validateInfluence(); err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
-	var hist *timeline.Sequence
-	if req.CascadeID != "" {
-		if s.wal != nil && !s.walRecovered.Load() {
-			fail(ErrReplaying)
-			return
-		}
-		_, hist, err = s.store.State(snap.Model, snap.Proc, snap.Version, req.CascadeID, req.Horizon)
-	} else {
-		hist, err = req.historySequence(snap.M)
-	}
+	_, hist, err := s.history(req, snap)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
-	ctx := r.Context()
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	var body []byte
-	var perr error
-	derr := s.disp.Do(ctx, func(ctx context.Context, workers int) {
-		defer func() {
-			if v := recover(); v != nil {
-				perr = fmt.Errorf("influence computation panicked: %v", v)
-			}
-		}()
-		if err := ctx.Err(); err != nil {
-			perr = err
-			return
-		}
+	run := func(ctx context.Context, workers int) ([]byte, error) {
 		scores, err := predict.Influence(snap.Proc, hist, predict.Options{Workers: workers, Ctx: ctx})
 		if err != nil {
-			perr = err
-			return
+			return nil, err
 		}
-		body, perr = predict.EncodeInfluence(scores)
-	})
-	if derr != nil {
-		fail(derr)
-		return
+		return predict.EncodeInfluence(scores)
 	}
-	if perr != nil {
-		fail(perr)
-		return
-	}
-	s.metrics.Timer("serve.influence.latency").Add(time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(modelVersionHeader, strconv.FormatInt(snap.Version, 10))
-	//nolint:errcheck // best-effort write to a client that may be gone
-	w.Write(body)
+	return &v1Work{timeoutMS: req.TimeoutMS, run: run}, nil
 }
 
 // healthJSON is the /healthz payload.

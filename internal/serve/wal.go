@@ -147,7 +147,7 @@ func (s *Server) recoverWAL(ctx context.Context) error {
 			return fmt.Errorf("serve: restoring ingest store: %w", err)
 		}
 		s.logf("wal: snapshot restored %d cascades and %d refit recipes through lsn %d",
-			len(snap.Cascades), len(snap.Refits), snapLSN)
+			s.store.Len(), len(snap.Refits), snapLSN)
 	}
 
 	err := s.wal.Replay(func(rec *wal.Record) error {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -395,15 +396,37 @@ func TestInjectedTornWriteRecoversPrefix(t *testing.T) {
 
 func TestBacklogShedsPastMaxBuffered(t *testing.T) {
 	defer faultinject.Reset()
-	// Block the writer on its first write so the queue can only grow.
+	// Park the writer inside its first write so the queue can only grow.
+	// The writer takes the whole queue when it wakes, so the backlog is
+	// built only once it is parked: a backlog it had already taken would
+	// leave Stalled() nothing to report.
 	gate := make(chan struct{})
+	parked := make(chan struct{})
+	var parkOnce sync.Once
 	faultinject.WALIO = func(op, path string) error {
 		if op == "write" {
+			parkOnce.Do(func() { close(parked) })
 			<-gate
 		}
 		return nil
 	}
 	w := openStarted(t, Config{Dir: t.TempDir(), MaxBuffered: 64, StallTimeout: 100 * time.Millisecond}, nil)
+	// Runs before faultinject.Reset: the writer is released and stopped
+	// before the hook it reads is cleared, even when an assertion fails.
+	defer func() {
+		close(gate)
+		if err := w.Close(); err != nil {
+			t.Errorf("Close after draining backlog: %v", err)
+		}
+	}()
+	if _, err := w.Append("t", json.RawMessage(`{"i":0}`)); err != nil {
+		t.Fatalf("first append: %v", err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer never reached its first write")
+	}
 	var shed error
 	for i := 0; i < 100; i++ {
 		if _, err := w.Append("t", json.RawMessage(`{"pad":"xxxxxxxxxxxxxxxx"}`)); err != nil {
@@ -416,10 +439,6 @@ func TestBacklogShedsPastMaxBuffered(t *testing.T) {
 	}
 	if !w.Stalled() {
 		t.Fatal("Stalled() must report the backlog")
-	}
-	close(gate)
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close after draining backlog: %v", err)
 	}
 }
 
