@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"chassis/internal/branching"
@@ -105,7 +108,10 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	for i := range m.Kernels {
 		m.Kernels[i] = sampled
 	}
-	m.sources = cooccurrenceSources(seqColumns(d.Seq), cfg.KernelSupport)
+	var err error
+	if m.sources, err = cooccurrenceSources(seqColumns(d.Seq), cfg.KernelSupport, 0); err != nil {
+		t.Fatal(err)
+	}
 	m.initParams(seqColumns(d.Seq))
 
 	work := d.Seq.StripParents()
@@ -129,7 +135,7 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	if dim < 0 {
 		t.Skip("no suitable dimension")
 	}
-	dd := m.mstepDimData(seqColumns(work), conf, dim)
+	dd := m.buildDim(seqColumns(work), conf, dim)
 	return m, dd, conf
 }
 
@@ -358,12 +364,132 @@ func TestCooccurrenceSources(t *testing.T) {
 		})
 	}
 	seq.Normalize()
-	src := cooccurrenceSources(seqColumns(seq), 2)
+	src, err := cooccurrenceSources(seqColumns(seq), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(src[1]) != 1 || src[1][0] != 0 {
 		t.Errorf("sources[1] = %v, want [0]", src[1])
 	}
 	if len(src[2]) != 0 {
 		t.Errorf("sources[2] = %v, want empty", src[2])
+	}
+}
+
+// refCooccurrenceSources is the oracle for cooccurrenceSources: a serial
+// scan over all events with one shared pruning cursor and one tally map per
+// receiver.
+func refCooccurrenceSources(cols *eventCols, support float64) [][]int {
+	times, users := cols.times, cols.users
+	counts := make([]map[int]int, cols.m)
+	for i := range counts {
+		counts[i] = make(map[int]int)
+	}
+	lo := 0
+	for k := range times {
+		i := int(users[k])
+		t := times[k]
+		for lo < len(times) && times[lo] < t-support {
+			lo++
+		}
+		for w := lo; w < k; w++ {
+			j := int(users[w])
+			if j != i {
+				counts[i][j]++
+			}
+		}
+	}
+	out := make([][]int, cols.m)
+	for i := range out {
+		type jc struct{ j, c int }
+		var list []jc
+		for j, c := range counts[i] {
+			if c >= 2 {
+				list = append(list, jc{j, c})
+			}
+		}
+		sort.Slice(list, func(a, b int) bool {
+			if list[a].c != list[b].c {
+				return list[a].c > list[b].c
+			}
+			return list[a].j < list[b].j
+		})
+		if len(list) > MaxSourcesPerDim {
+			list = list[:MaxSourcesPerDim]
+		}
+		js := make([]int, len(list))
+		for idx, e := range list {
+			js[idx] = e.j
+		}
+		sort.Ints(js)
+		out[i] = js
+	}
+	return out
+}
+
+// TestCooccurrenceSourcesMatchesSerialScan pins the per-receiver ranking on
+// the worker pool to the serial scan at Workers 1, 2 and 8. The synthetic
+// corpora put many events on each integer time, so windows hold events
+// simultaneous with their target (counted only when the columns hold them
+// first); support 0 leaves exactly those. Hub users make receivers with more
+// than MaxSourcesPerDim candidates and tied tallies, so truncation and the
+// tie-break are covered too.
+func TestCooccurrenceSourcesMatchesSerialScan(t *testing.T) {
+	type corpus struct {
+		name    string
+		cols    *eventCols
+		support float64
+	}
+	var corpora []corpus
+	r := rng.New(77)
+	for c, users := range []int{3, 25, 60} {
+		seq := &timeline.Sequence{M: users, Horizon: 200}
+		for k := 0; k < 2500; k++ {
+			u := r.Intn(users)
+			if r.Bernoulli(0.3) {
+				u = r.Intn(min(users, 4)) // hubs
+			}
+			seq.Activities = append(seq.Activities, timeline.Activity{
+				ID: timeline.ActivityID(k), User: timeline.UserID(u),
+				Time: float64(r.Intn(200)), Parent: timeline.NoParent,
+			})
+		}
+		sort.SliceStable(seq.Activities, func(a, b int) bool { return seq.Activities[a].Time < seq.Activities[b].Time })
+		for k := range seq.Activities {
+			seq.Activities[k].ID = timeline.ActivityID(k)
+		}
+		for _, support := range []float64{0, 0.5, 3} {
+			corpora = append(corpora, corpus{fmt.Sprintf("synthetic%d/support%g", c, support), seqColumns(seq), support})
+		}
+	}
+	d := smallDataset(t, 34)
+	corpora = append(corpora, corpus{"cascade", seqColumns(d.Seq), 25})
+
+	truncated, simultaneous := 0, 0
+	for _, c := range corpora {
+		want := refCooccurrenceSources(c.cols, c.support)
+		for _, workers := range []int{1, 2, 8} {
+			got, err := cooccurrenceSources(c.cols, c.support, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, Workers=%d: sources diverge from the serial scan\n got %v\nwant %v", c.name, workers, got, want)
+			}
+		}
+		for _, js := range want {
+			if len(js) == MaxSourcesPerDim {
+				truncated++
+			}
+		}
+		if c.support == 0 {
+			for _, js := range want {
+				simultaneous += len(js)
+			}
+		}
+	}
+	if truncated == 0 || simultaneous == 0 {
+		t.Fatalf("the corpora stopped covering a case: %d truncated rankings, %d sources from simultaneous events", truncated, simultaneous)
 	}
 }
 

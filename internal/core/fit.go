@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"chassis/internal/branching"
@@ -15,6 +18,7 @@ import (
 	"chassis/internal/hawkes"
 	"chassis/internal/kernel"
 	"chassis/internal/obs"
+	"chassis/internal/parallel"
 	"chassis/internal/rng"
 	"chassis/internal/timeline"
 )
@@ -170,7 +174,9 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 			return nil, err
 		}
 
-		m.sources = cooccurrenceSources(cols, cfg.KernelSupport)
+		if m.sources, err = cooccurrenceSources(cols, cfg.KernelSupport, cfg.Workers); err != nil {
+			return nil, err
+		}
 		m.initParams(cols)
 
 		_, linear := m.link.(hawkes.LinearLink)
@@ -641,23 +647,13 @@ func forestSources(cols *eventCols, forest *branching.Forest, coocc [][]int) [][
 	}
 	out := make([][]int, cols.m)
 	for i := range out {
-		type jc struct{ j, c int }
-		var list []jc
+		var list []srcCount
 		for j, c := range counts[i] {
-			list = append(list, jc{j, c})
-		}
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].c != list[b].c {
-				return list[a].c > list[b].c
-			}
-			return list[a].j < list[b].j
-		})
-		if len(list) > MaxSourcesPerDim {
-			list = list[:MaxSourcesPerDim]
+			list = append(list, srcCount{j, c})
 		}
 		js := make([]int, 0, MaxSourcesPerDim)
 		seen := make(map[int]bool, MaxSourcesPerDim)
-		for _, e := range list {
+		for _, e := range strongest(list) {
 			js = append(js, e.j)
 			seen[e.j] = true
 		}
@@ -678,53 +674,78 @@ func forestSources(cols *eventCols, forest *branching.Forest, coocc [][]int) [][
 
 // cooccurrenceSources finds, per receiver i, the source users whose events
 // most often precede i's events within the kernel support — the sparse
-// support the M-step optimizes over.
-func cooccurrenceSources(cols *eventCols, support float64) [][]int {
+// support the M-step optimizes over. An event of i at position k tallies
+// the events of every other user at positions [lo, k), lo the first
+// position with time ≥ t − support, so an event at i's own time counts when
+// the columns hold it first. Receivers are ranked independently on the
+// worker pool, each walking its own events through the by-user index; the
+// tallies are exact integers, so the ranking is the same at any worker
+// count. The error only reports a worker panic.
+func cooccurrenceSources(cols *eventCols, support float64, workers int) ([][]int, error) {
 	times, users := cols.times, cols.users
-	counts := make([]map[int]int, cols.m)
-	for i := range counts {
-		counts[i] = make(map[int]int)
-	}
-	lo := 0
-	for k := range times {
-		i := int(users[k])
-		t := times[k]
-		for lo < len(times) && times[lo] < t-support {
-			lo++
-		}
-		for w := lo; w < k; w++ {
-			j := int(users[w])
-			if j != i {
-				counts[i][j]++
-			}
-		}
-	}
 	out := make([][]int, cols.m)
-	for i := range out {
-		type jc struct{ j, c int }
-		var list []jc
-		for j, c := range counts[i] {
-			if c >= 2 {
-				list = append(list, jc{j, c})
+	// A per-user tally for each running worker; a receiver zeroes the
+	// entries it touched before putting the tally back.
+	tallies := sync.Pool{New: func() any {
+		c := make([]int, cols.m)
+		return &c
+	}}
+	err := parallel.Do(workers, cols.m, func(i int) error {
+		tp := tallies.Get().(*[]int)
+		defer tallies.Put(tp)
+		count := *tp
+		var touched []int
+		lo := 0
+		for _, k := range cols.eventsOf(i) {
+			// The window start only moves forward: binary-search it from
+			// the previous one. The predicate is the negation of
+			// `times[lo] < t−support`, the rule every pruning cursor uses.
+			t, base := times[k], lo
+			lo = base + sort.Search(int(k)-base, func(x int) bool { return !(times[base+x] < t-support) })
+			for w := lo; w < int(k); w++ {
+				if j := int(users[w]); j != i {
+					if count[j] == 0 {
+						touched = append(touched, j)
+					}
+					count[j]++
+				}
 			}
 		}
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].c != list[b].c {
-				return list[a].c > list[b].c
+		var list []srcCount
+		for _, j := range touched {
+			if count[j] >= 2 {
+				list = append(list, srcCount{j, count[j]})
 			}
-			return list[a].j < list[b].j
-		})
-		if len(list) > MaxSourcesPerDim {
-			list = list[:MaxSourcesPerDim]
+			count[j] = 0
 		}
+		list = strongest(list)
 		js := make([]int, len(list))
 		for idx, e := range list {
 			js[idx] = e.j
 		}
 		sort.Ints(js)
 		out[i] = js
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
+}
+
+// srcCount is a candidate source user j and its tally c for one receiver.
+type srcCount struct{ j, c int }
+
+// strongest orders candidates by descending tally, ties by ascending user,
+// and keeps the first MaxSourcesPerDim.
+func strongest(list []srcCount) []srcCount {
+	slices.SortFunc(list, func(a, b srcCount) int {
+		if a.c != b.c {
+			return cmp.Compare(b.c, a.c)
+		}
+		return cmp.Compare(a.j, b.j)
+	})
+	return list[:min(len(list), MaxSourcesPerDim)]
 }
 
 // HeldOutLogLikelihood evaluates the fitted model on a held-out sequence:

@@ -329,7 +329,9 @@ func refCase(v Variant, users int, horizon, support float64, data, rows []byte) 
 		m.Kernels[i] = sampled
 	}
 	cols := seqColumns(seq)
-	m.sources = cooccurrenceSources(cols, support)
+	if m.sources, err = cooccurrenceSources(cols, support, 1); err != nil {
+		panic(err)
+	}
 	m.initParams(cols)
 	if len(rows) > 0 {
 		val := func(p int) float64 {
@@ -534,7 +536,7 @@ func TestObjectiveMatchesReference(t *testing.T) {
 					if len(m.sources[i]) == 0 {
 						continue
 					}
-					d := m.mstepDimData(cols, conf, i)
+					d := m.buildDim(cols, conf, i)
 					obj, ref := m.objective(d, conf), m.refObjective(d, conf)
 					lower, upper := m.bounds(i)
 					for trial := 0; trial < 6; trial++ {

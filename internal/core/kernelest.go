@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
-	"slices"
 
 	"chassis/internal/conformity"
 	"chassis/internal/dft"
@@ -37,10 +36,10 @@ import (
 // failures keep the previous kernel, as before.
 //
 // The pass reads the flat event columns, so it runs in memory and out of
-// core alike. Once per pass it indexes event positions by user and computes
-// every event's phase step; receiver i then bins only its own events and
-// walks, in global order, only the events of users its row excites (the
-// only events where excitation.Alpha can be nonzero). The recurrence
+// core alike. Once per pass it computes every event's phase step; receiver i
+// then bins only its own events (the columns' by-user index) and walks, in
+// global order (eventCols.merge), only the events of users its row excites
+// (the only events where excitation.Alpha can be nonzero). The recurrence
 // advances four events per sweep over the bins, adding them to each bin in
 // event order, so every float is the one a one-event-per-sweep pass over
 // all events computes (DESIGN.md §7, "Fit hot layers").
@@ -58,21 +57,6 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 		taps = fftBins / 2
 	}
 
-	// byUser[off[j]:off[j+1]] are user j's event positions in
-	// chronological order.
-	off := make([]int32, m.M+1)
-	for _, u := range cols.users {
-		off[u+1]++
-	}
-	for j := 0; j < m.M; j++ {
-		off[j+1] += off[j]
-	}
-	byUser := make([]int32, len(cols.users))
-	next := slices.Clone(off[:m.M])
-	for k, u := range cols.users {
-		byUser[next[u]] = int32(k)
-		next[u]++
-	}
 	// e^{−jω₁·pos} per event, pos = t/delta in bin units: the factor that
 	// advances the event's phase from bin n to bin n+1.
 	steps := make([]complex128, len(cols.times))
@@ -82,7 +66,7 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 	}
 
 	return parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
-		own := byUser[off[i]:off[i+1]]
+		own := cols.eventsOf(i)
 		if len(own) < 4 {
 			return nil // not enough signal to estimate a kernel for i
 		}
@@ -100,13 +84,13 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 
 		// Excitation train of dimension i in bin units, over the events
 		// of the users row i excites, in global order.
-		var evs []int32
+		var excited []int
 		for j := 0; j < m.M; j++ {
 			if m.excites(i, j) {
-				evs = append(evs, byUser[off[j]:off[j+1]]...)
+				excited = append(excited, j)
 			}
 		}
-		slices.Sort(evs)
+		evs := cols.merge(excited)
 		contrib, ws := evs[:0], make([]float64, 0, len(evs))
 		var alphaMass float64
 		for _, k := range evs {

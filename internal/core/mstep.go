@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"chassis/internal/conformity"
 	"chassis/internal/faultinject"
@@ -395,19 +396,15 @@ type mstepStats struct {
 // the frozen forest/conformity snapshot and writes only its own parameter
 // rows — so they fan out over the shared worker pool; the per-dimension
 // optimization itself is deterministic, which keeps the fitted parameters
-// identical at any worker count or batch size. ctx is polled between
-// dimensions; stats, when non-nil, receives the pass's gradient-norm
-// measurement. The returned error only reports worker panics or
-// cancellation: a dimension whose optimizer fails simply keeps its
-// parameters.
+// identical at any worker count. ctx is polled between dimensions; stats,
+// when non-nil, receives the pass's gradient-norm measurement. The returned
+// error only reports worker panics or cancellation: a dimension whose
+// optimizer fails simply keeps its parameters.
 //
-// Dimensions are processed in batches, each assembled by one chronological
-// scan of the event columns (buildDimDataBatch) and then optimized in
-// parallel; that is what makes M-steps feasible at paper-scale M and out of
-// core. A nonlinear link's worker adds its dimension's Euler grid
-// (buildGrid) just before optimizing, and every worker drops its
-// dimension's data right after. Batches run sequentially, so peak memory is
-// one batch of dimData plus at most Workers grids.
+// The worker for dimension i builds i's data itself (buildDim, from the
+// columns' by-user index), optimizes it and drops it, so the pass reads the
+// columns alone — in memory and out of core alike — and at most Workers
+// dimensions' data are live at once.
 func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Computer, stats *mstepStats) error {
 	var norms []float64
 	if stats != nil {
@@ -422,37 +419,15 @@ func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Com
 		// e.g. one rebuilt by LoadModel) means "never recovered".
 		initStep *= m.stepScale
 	}
-	_, linear := m.link.(hawkes.LinearLink)
-	scr := newBatchScratch(m.M)
-	workers := parallel.Workers(m.cfg.Workers)
-	cost := m.dimSrcCosts(cols)
-	for lo := 0; lo < m.M; {
-		hi := lo + 1
-		budget := cost[lo]
-		for hi < m.M && hi-lo < mstepBatchDims && budget+cost[hi] <= mstepBatchSrcEvents {
-			budget += cost[hi]
-			hi++
+	err := parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
+		norm := m.optimizeDim(i, m.buildDim(cols, conf, i), conf, initStep, norms != nil)
+		if norms != nil {
+			norms[i] = norm
 		}
-		data := m.buildDimDataBatch(cols, conf, lo, hi, scr)
-		err := parallel.DoContext(ctx, workers, hi-lo, func(bi int) error {
-			i := lo + bi
-			if !linear {
-				m.buildGrid(data[bi])
-			}
-			norm := m.optimizeDim(i, data[bi], conf, initStep, norms != nil)
-			data[bi] = nil
-			if norms != nil {
-				norms[i] = norm
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		lo = hi
-	}
-	if stats == nil {
 		return nil
+	})
+	if err != nil || stats == nil {
+		return err
 	}
 	stats.dims = m.M
 	stats.gradNorm = math.NaN()
@@ -462,6 +437,136 @@ func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Com
 		}
 	}
 	return nil
+}
+
+// buildDim assembles dimension i's dimData: every event of i's sources
+// (time, kInt, aN) and one target window per event of i, kernel values in
+// event order, plus the Euler-grid windows of a nonlinear link. It is the
+// M-step's only dimension builder; TestBatchBuilderMatchesPerDim pins it,
+// grid windows included, to a reference that scans the whole sequence once
+// per dimension.
+//
+// It walks the positions of i's events and its sources' events merged into
+// global order (eventCols.merge), so it meets exactly the events a
+// chronological scan of the corpus meets for i, in the same order. At an
+// event of i the target window comes first: it admits only sources strictly
+// before the target, so an event that is both a target and a source joins
+// d.src afterwards and counts for later windows only. The window is
+// d.src[start:] with start advanced by the `t < target − support` rule;
+// times are nondecreasing, so pruned sources stay prunable.
+func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dimData {
+	l := m.layout()
+	needAN := l.conformityAware && l.useNormative
+	ker := m.Kernels[i]
+	support := ker.Support()
+	T := cols.horizon
+	srcs := m.sources[i]
+	users := srcs
+	if !slices.Contains(srcs, i) {
+		users = append(srcs[:len(srcs):len(srcs)], i)
+	}
+	nSrc := 0
+	for _, j := range srcs {
+		nSrc += len(cols.eventsOf(j))
+	}
+	d := &dimData{i: i, T: T}
+	if nSrc > 0 {
+		d.src = make([]srcEvent, 0, nSrc)
+	}
+	w := windows{ends: make([]int, 0, len(cols.eventsOf(i)))}
+	start := 0
+	for _, k := range cols.merge(users) {
+		t, u := cols.times[k], int(cols.users[k])
+		if u == i {
+			for start < len(d.src) && d.src[start].t < t-support {
+				start++
+			}
+			for e := start; e < len(d.src); e++ {
+				dt := t - d.src[e].t
+				if dt <= 0 {
+					continue
+				}
+				if phi := ker.Eval(dt); phi > 0 {
+					w.add(int32(e), phi)
+				}
+			}
+			w.close()
+		}
+		if s := slices.Index(srcs, u); s >= 0 {
+			e := srcEvent{j: int32(u), jIdx: int32(s), t: t, kInt: ker.Integral(T - t)}
+			if needAN {
+				e.aN = conf.Normative(i, u, t)
+			}
+			d.src = append(d.src, e)
+		}
+	}
+	d.targets = w.cut()
+	if _, linear := m.link.(hawkes.LinearLink); !linear {
+		m.buildGrid(d)
+	}
+	return d
+}
+
+// windows collects a dimension's windows back to back in one array, so the
+// builder grows one slice instead of one per window and the objective reads
+// them contiguously.
+type windows struct {
+	flat []winEntry
+	ends []int
+}
+
+func (w *windows) add(src int32, phi float64) { w.flat = append(w.flat, winEntry{src: src, phi: phi}) }
+
+// close ends the current window.
+func (w *windows) close() { w.ends = append(w.ends, len(w.flat)) }
+
+// cut returns the closed windows in order; an empty window is nil.
+func (w *windows) cut() [][]winEntry {
+	if len(w.ends) == 0 {
+		return nil
+	}
+	out := make([][]winEntry, len(w.ends))
+	lo := 0
+	for k, hi := range w.ends {
+		if hi > lo {
+			out[k] = w.flat[lo:hi:hi]
+		}
+		lo = hi
+	}
+	return out
+}
+
+// buildGrid adds dimension d.i's Euler-grid windows for a nonlinear link.
+// Grid point s sits at ts = s·gridH with gridH = T/g, and its window holds,
+// in order, the source events with ts − support ≤ t < ts, dt ≤ support and
+// φ > 0. d.src is every event of the dimension's sources in chronological
+// order, so a cursor pruned by the same rule visits exactly the source
+// events a scan of the whole sequence would, in the same order, and every
+// window entry is the same (index, φ) pair.
+func (m *Model) buildGrid(d *dimData) {
+	ker := m.Kernels[d.i]
+	support := ker.Support()
+	g := m.cfg.IntegrationGrid
+	d.gridH = d.T / float64(g)
+	w := windows{ends: make([]int, 0, g)}
+	lo := 0
+	for s := 0; s < g; s++ {
+		ts := float64(s) * d.gridH // left endpoints
+		for lo < len(d.src) && d.src[lo].t < ts-support {
+			lo++
+		}
+		for e := lo; e < len(d.src) && d.src[e].t < ts; e++ {
+			dt := ts - d.src[e].t
+			if dt > support {
+				continue
+			}
+			if phi := ker.Eval(dt); phi > 0 {
+				w.add(int32(e), phi)
+			}
+		}
+		w.close()
+	}
+	d.grid = w.cut()
 }
 
 // optimizeDim runs the per-dimension optimizer stage on prepared dimData:

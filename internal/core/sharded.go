@@ -49,13 +49,14 @@ func unsupportedWithoutSequence(cfg Config) error {
 }
 
 // shardSource is a colstore corpus as an event source: the flat (time,
-// user) columns — 12 bytes per event, the only whole-corpus state the fit
-// keeps — plus the global scheduling-chunk grid and its grouping into
-// shards. Everything heavier (activity structs for E-step windows, dimData
-// for M-step batches, the conformity scan) is materialized per shard, per
-// batch or per build and released before the next one, which is what bounds
-// peak memory below the corpus size: the corpus rows carry kinds, topics,
-// polarities, parents, and text that the fit never loads.
+// user) columns and their by-user index — 16 bytes per event, the only
+// whole-corpus state the fit keeps — plus the global scheduling-chunk grid
+// and its grouping into shards. Everything heavier (activity structs for
+// E-step windows, one dimData per running M-step worker, the conformity
+// scan) is materialized per shard, per dimension or per build and released
+// before the next one, which is what bounds peak memory below the corpus
+// size: the corpus rows carry kinds, topics, polarities, parents, and text
+// that the fit never loads.
 type shardSource struct {
 	rd   *colstore.Reader
 	cols eventCols
@@ -90,6 +91,7 @@ func newShardSource(rd *colstore.Reader, shardEvents int) (*shardSource, error) 
 	if err != nil {
 		return nil, err
 	}
+	s.cols.indexUsers()
 	for c0 := 0; c0 < len(s.chunks); {
 		c1, events := c0, 0
 		for c1 < len(s.chunks) && events < shardEvents {
@@ -169,10 +171,10 @@ func (s *shardSource) sequence() *timeline.Sequence { return nil }
 // the EM loop of FitContext over a different event source: the E-step and
 // bootstrap walk the corpus shard-by-shard through halo-extended windows,
 // the M-step and the nonparametric kernel pass read the (time, user)
-// columns, and peak memory is bounded by O(events)·12 bytes of flat columns
-// (plus 20 bytes per event while a kernel pass runs) plus one shard of
-// activity structs plus one dimension batch — never the materialized
-// corpus. Every variant — the HP baselines and the conformity-aware family,
+// columns and their by-user index, and peak memory is bounded by
+// O(events)·16 bytes of flat columns (plus 16 bytes per event while a
+// kernel pass runs) plus one shard of activity structs plus at most Workers
+// dimensions' M-step data — never the materialized corpus. Every variant — the HP baselines and the conformity-aware family,
 // linear or nonlinear link, with a fixed, parametric-exponential or
 // nonparametric kernel — is bit-identical to FitContext on the equivalent
 // in-memory sequence at every Workers and ShardEvents setting; see DESIGN.md

@@ -183,10 +183,6 @@ func TestPrefixDigests(t *testing.T) {
 // served snapshot is version 1 of exactly those bytes.
 func cachedServer(t *testing.T, model []byte, capEntries int) (*Server, *httptest.Server) {
 	t.Helper()
-	fixOnce.Do(buildFixture)
-	if fixErr != nil {
-		t.Fatalf("building fixture: %v", fixErr)
-	}
 	src := fixtureSource(t)
 	if model != nil {
 		if err := os.WriteFile(src.ModelPath, model, 0o644); err != nil {

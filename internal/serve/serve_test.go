@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"chassis/internal/cascade"
@@ -20,9 +19,10 @@ import (
 
 // The fixture is one tiny corpus plus two distinct fitted models (different
 // fit seeds, so genuinely different parameters) serialized once and shared
-// by every test; each test writes the bytes into its own temp dir.
+// by every test; each test writes the bytes into its own temp dir. TestMain
+// builds it before any test runs, so a test may read the model bytes
+// directly — in a table, say — whatever order the tests run in.
 var (
-	fixOnce              sync.Once
 	fixData              []byte
 	fixModelA, fixModelB []byte
 	// fixExpA/B are ExpKernel fits of the same corpus: their processes
@@ -31,6 +31,11 @@ var (
 	fixExpA, fixExpB []byte
 	fixErr           error
 )
+
+func TestMain(m *testing.M) {
+	buildFixture()
+	os.Exit(m.Run())
+}
 
 func buildFixture() {
 	d, err := cascade.Generate(cascade.Config{
@@ -109,7 +114,6 @@ func expFixtureSource(t *testing.T) Source {
 // a Source over them (Split 0: the models were fitted on the full corpus).
 func fixtureSource(t *testing.T) Source {
 	t.Helper()
-	fixOnce.Do(buildFixture)
 	if fixErr != nil {
 		t.Fatalf("building fixture: %v", fixErr)
 	}
