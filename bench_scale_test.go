@@ -231,17 +231,17 @@ func measureScaleBench(t *testing.T) scaleBenchReport {
 		t.Fatalf("conformity sharded fit diverged from in-memory: %s != %s", got, want)
 	}
 	rep := scaleBenchReport{
-		GeneratedBy:       "CHASSIS_BENCH_SCALE=1 go test -count=1 -run TestRecordScaleBench -v .",
-		GoVersion:         runtime.Version(),
-		NumCPU:            runtime.NumCPU(),
-		Events:            stats.Events,
-		Users:             cfg.M,
-		CorpusBytes:       info.Size(),
-		SequenceBytes:     seqBytes,
-		WriteEventsPerSec: float64(stats.Events) / (float64(writeNS) / 1e9),
-		ScanEventsPerSec:  float64(stats.Events) / scanSec,
-		EMIters:           scaleBenchFitConfig().EMIters,
-		ShardEvents:       scaleBenchShardEvents,
+		GeneratedBy:           "CHASSIS_BENCH_SCALE=1 go test -count=1 -run TestRecordScaleBench -v .",
+		GoVersion:             runtime.Version(),
+		NumCPU:                runtime.NumCPU(),
+		Events:                stats.Events,
+		Users:                 cfg.M,
+		CorpusBytes:           info.Size(),
+		SequenceBytes:         seqBytes,
+		WriteEventsPerSec:     float64(stats.Events) / (float64(writeNS) / 1e9),
+		ScanEventsPerSec:      float64(stats.Events) / scanSec,
+		EMIters:               scaleBenchFitConfig().EMIters,
+		ShardEvents:           scaleBenchShardEvents,
 		ModelFingerprint:      sharded.Fingerprint(),
 		ShardedPeakRSS:        shardedPeak,
 		InMemPeakRSS:          inmemPeak,

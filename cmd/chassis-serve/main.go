@@ -85,10 +85,10 @@ func main() {
 			MaxBatch: *batch, QueueDepth: *queue,
 			Window: *window, Workers: *workers,
 		},
-		ReloadEvery:    *poll,
-		RefitEvery:     *refitEv,
-		RefitPasses:    *refitPs,
-		Ingest:         ingest.Config{MaxCascades: *casCap, MaxEvents: *casEvts},
+		ReloadEvery: *poll,
+		RefitEvery:  *refitEv,
+		RefitPasses: *refitPs,
+		Ingest:      ingest.Config{MaxCascades: *casCap, MaxEvents: *casEvts},
 		WAL: wal.Config{
 			Dir: *walDir, Sync: syncPolicy, SyncEvery: *walIntv,
 			SegmentBytes: *walSeg, CompactAfter: *walKeep, StallTimeout: *walTO,

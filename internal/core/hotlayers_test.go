@@ -419,7 +419,9 @@ var kernelPassVariants = []Variant{VariantLHP, VariantEHP, VariantL, VariantLI, 
 // conformity variants, nonzero γ outside m.sources[i], negative CHASSIS-E α
 // (skipped by both passes), events at exactly the horizon on receivers with
 // enough events to estimate, users with no events, diagonal-only α rows, and
-// contributing-event counts that are not multiples of the sweep width.
+// trains of at least 8 contributing events that leave 5 to 7 past the last
+// multiple of 8, so dft.AddTrain's vector sweep and both widths of its Go
+// tail run.
 func TestKernelPassMatchesReference(t *testing.T) {
 	r := rng.New(23)
 	var cov struct{ estimated, horizon, idle, stale, negative, ragged, diagonal int }
@@ -498,7 +500,7 @@ func TestKernelPassMatchesReference(t *testing.T) {
 					contrib++
 				}
 			}
-			if contrib > 4 && contrib%4 != 0 {
+			if contrib >= 8 && contrib%8 > 4 {
 				cov.ragged++
 			}
 		}

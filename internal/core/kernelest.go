@@ -39,10 +39,10 @@ import (
 // core alike. Once per pass it computes every event's phase step; receiver i
 // then bins only its own events (the columns' by-user index) and walks, in
 // global order (eventCols.merge), only the events of users its row excites
-// (the only events where excitation.Alpha can be nonzero). The recurrence
-// advances four events per sweep over the bins, adding them to each bin in
-// event order, so every float is the one a one-event-per-sweep pass over
-// all events computes (DESIGN.md §7, "Fit hot layers").
+// (the only events where excitation.Alpha can be nonzero). dft.AddTrain
+// adds the train's transform, each bin receiving the events in event order,
+// so every float is the one a one-event-per-sweep pass over all events
+// computes (DESIGN.md §7, "Fit hot layers").
 func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *conformity.Computer) error {
 	const fftBins = 256
 	const tikhonov = 1e-3
@@ -107,7 +107,7 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 			return nil
 		}
 		denom := make([]complex128, fftBins)
-		addTrain(denom, contrib, ws, steps)
+		dft.AddTrain(denom, contrib, ws, steps)
 		// DC correction (Eq. 7.7): remove the expected exogenous count.
 		lam[0] -= complex(m.link.Apply(m.Mu[i])*T, 0)
 
@@ -158,39 +158,4 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 		m.Kernels[i] = nk
 		return nil
 	})
-}
-
-// addTrain adds Σₑ wₑ·stepₑⁿ into denom[n] for every bin n, over the events
-// evs (positions into steps) with weights ws. Each event's phasor is built by
-// repeated multiplication from wₑ, and every bin receives the events' terms
-// in the order of evs, so the sums are bit-identical to a pass that adds one
-// event per sweep over the bins; four events share a sweep only so their
-// independent multiply chains overlap in the pipeline.
-func addTrain(denom []complex128, evs []int32, ws []float64, steps []complex128) {
-	q := 0
-	for ; q+4 <= len(evs); q += 4 {
-		w0, s0 := complex(ws[q], 0), steps[evs[q]]
-		w1, s1 := complex(ws[q+1], 0), steps[evs[q+1]]
-		w2, s2 := complex(ws[q+2], 0), steps[evs[q+2]]
-		w3, s3 := complex(ws[q+3], 0), steps[evs[q+3]]
-		for n := range denom {
-			d := denom[n]
-			d += w0
-			w0 *= s0
-			d += w1
-			w1 *= s1
-			d += w2
-			w2 *= s2
-			d += w3
-			w3 *= s3
-			denom[n] = d
-		}
-	}
-	for ; q < len(evs); q++ {
-		w, s := complex(ws[q], 0), steps[evs[q]]
-		for n := range denom {
-			denom[n] += w
-			w *= s
-		}
-	}
 }

@@ -20,7 +20,7 @@ func fuzzDatasetSeed(tb interface{ Fatal(...any) }) []byte {
 	}
 	var buf bytes.Buffer
 	if err := WriteDataset(&buf, &cascade.Dataset{Name: "fuzz-seed", Seq: seq,
-		Influence: [][]float64{{0, 1, 0}, {0, 0, 0}, {1, 0, 0}},
+		Influence:  [][]float64{{0, 1, 0}, {0, 0, 0}, {1, 0, 0}},
 		Conformity: []float64{0.1, 0.2, 0.3},
 	}); err != nil {
 		tb.Fatal(err)

@@ -107,35 +107,6 @@ func naiveDFT(x []complex128, inverse bool) {
 	copy(x, out)
 }
 
-// Goertzel evaluates a single DFT bin Σ_k x[k]·e^{-jωk} for arbitrary real
-// ω (radians/sample) without computing the whole transform. CHASSIS uses it
-// to evaluate Σ_l e^{-jω·t_{jl}} at event times that do not fall on the bin
-// grid (Eq. 7.6's denominator).
-func Goertzel(x []float64, omega float64) complex128 {
-	// Direct recurrence; the classic Goertzel filter specialized to one
-	// frequency. s[k] = x[k] + 2cos(ω)s[k-1] − s[k-2].
-	c := 2 * math.Cos(omega)
-	var s1, s2 float64
-	for _, v := range x {
-		s := v + c*s1 - s2
-		s2 = s1
-		s1 = s
-	}
-	n := float64(len(x))
-	return cmplx.Rect(1, -omega*(n-1))*complex(s1, 0) -
-		cmplx.Rect(1, -omega*n)*complex(s2, 0)
-}
-
-// PhaseSum returns Σ_i e^{-jω·t_i} for arbitrary (non-gridded) times: the
-// empirical characteristic sum appearing in Eq. 7.6. It costs O(len(times)).
-func PhaseSum(times []float64, omega float64) complex128 {
-	var sum complex128
-	for _, t := range times {
-		sum += cmplx.Rect(1, -omega*t)
-	}
-	return sum
-}
-
 // Energy returns Σ|x[i]|² — handy for Parseval-style checks.
 func Energy(x []complex128) float64 {
 	var s float64

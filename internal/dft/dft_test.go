@@ -99,60 +99,6 @@ func TestForwardReal(t *testing.T) {
 	}
 }
 
-func TestGoertzelMatchesDFTBins(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	n := 24
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	full := ForwardReal(x)
-	for k := 0; k < n; k++ {
-		omega := 2 * math.Pi * float64(k) / float64(n)
-		g := Goertzel(x, omega)
-		if cmplx.Abs(g-full[k]) > 1e-8 {
-			t.Errorf("Goertzel bin %d = %v, want %v", k, g, full[k])
-		}
-	}
-}
-
-func TestPhaseSum(t *testing.T) {
-	times := []float64{0, 1, 2, 3}
-	// omega = 0 -> sum = count.
-	if got := PhaseSum(times, 0); cmplx.Abs(got-4) > 1e-12 {
-		t.Errorf("PhaseSum(ω=0) = %v, want 4", got)
-	}
-	// Matches direct computation for arbitrary omega.
-	omega := 0.7
-	var want complex128
-	for _, tm := range times {
-		want += cmplx.Rect(1, -omega*tm)
-	}
-	if got := PhaseSum(times, omega); cmplx.Abs(got-want) > 1e-12 {
-		t.Errorf("PhaseSum = %v, want %v", got, want)
-	}
-}
-
-func TestPhaseSumMatchesGoertzelOnGrid(t *testing.T) {
-	// If times are integers 0..n-1 with unit weights, PhaseSum at bin
-	// frequencies equals the DFT of an all-ones signal.
-	n := 10
-	times := make([]float64, n)
-	ones := make([]float64, n)
-	for i := range times {
-		times[i] = float64(i)
-		ones[i] = 1
-	}
-	for k := 0; k < n; k++ {
-		omega := 2 * math.Pi * float64(k) / float64(n)
-		a := PhaseSum(times, omega)
-		b := Goertzel(ones, omega)
-		if cmplx.Abs(a-b) > 1e-9 {
-			t.Errorf("bin %d: PhaseSum %v vs Goertzel %v", k, a, b)
-		}
-	}
-}
-
 // Property: Parseval — energy in time equals energy/N in frequency.
 func TestParsevalProperty(t *testing.T) {
 	f := func(seed int64) bool {

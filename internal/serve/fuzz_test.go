@@ -67,4 +67,3 @@ func FuzzIngestDecode(f *testing.F) {
 		}
 	})
 }
-

@@ -26,9 +26,9 @@ func FuzzWALDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[frameHeaderSize+2] ^= 0x40 // bit flip in the payload
 	f.Add(flipped)
-	f.Add([]byte{})                                       // empty
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})                 // zero-length frame
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5})  // absurd length prefix
+	f.Add([]byte{})                                        // empty
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})                  // zero-length frame
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5})   // absurd length prefix
 	f.Add(append(append([]byte(nil), valid...), valid...)) // two frames back to back
 	crcOnly := append([]byte(nil), valid...)
 	crcOnly[5] ^= 0x01 // flip a stored-CRC bit, payload intact
