@@ -263,45 +263,6 @@ func (c *Computer) InformationalGrad(i, j int, t, beta float64) (alpha, dBeta fl
 	return phi * psi, dphi * psi
 }
 
-// GradCursor sweeps αᴵᵢⱼ(t) and its β-derivative at nondecreasing query
-// times for one fixed (i, j, β), consuming each interaction sample once
-// across the sweep — the linear-time replacement for calling
-// InformationalGrad per source event inside the M-step objective, and
-// bit-identical to it at every query point (the decay recursion's state
-// does not depend on where queries fall between samples).
-type GradCursor struct {
-	off []float64 // the receiver's offspring times
-	s   series    // the pair's interaction series
-	cur decayCursor
-}
-
-// InformationalCursor starts a monotone αᴵᵢⱼ sweep at decay rate beta.
-func (c *Computer) InformationalCursor(i, j int, beta float64) GradCursor {
-	p := c.find(i, j)
-	if p < 0 {
-		return GradCursor{}
-	}
-	s := c.info.at(p)
-	return GradCursor{off: c.offspring(i), s: s, cur: s.cursor(beta)}
-}
-
-// At returns αᴵᵢⱼ(t) and ∂αᴵᵢⱼ(t)/∂β. Query times must be nondecreasing
-// across calls on one cursor.
-func (g *GradCursor) At(t float64) (alpha, dBeta float64) {
-	if g.s.len() == 0 {
-		return 0, 0
-	}
-	n := countUpTo(g.off, t)
-	if n == 0 {
-		return 0, 0
-	}
-	sum, dsum := g.cur.at(t)
-	inv := 1 / float64(n)
-	phi, dphi := sum*inv, dsum*inv
-	psi := g.s.corrAt(t)
-	return phi * psi, dphi * psi
-}
-
 // Normative returns αᴺᵢⱼ(t) of Eq. 5.2.
 func (c *Computer) Normative(i, j int, t float64) float64 {
 	p := c.find(i, j)
@@ -310,6 +271,50 @@ func (c *Computer) Normative(i, j int, t float64) float64 {
 	}
 	return c.norm.at(p).corrAt(t)
 }
+
+// Pair is a handle on one (receiver i, source j) pair, resolved by one
+// lookup, for callers that query the pair many times: the M-step reads
+// αᴺᵢⱼ and αᴵᵢⱼ's β-free factors at every event of j once per dimension,
+// and only the decay sum once per objective evaluation. A pair without
+// samples (or out of range) gets the zero handle, whose queries all answer
+// 0.
+type Pair struct {
+	off  []float64 // the receiver's offspring times: ℕᵢ(t)
+	info series    // j→i parent-child interactions
+	norm series    // cascade-level contributions
+}
+
+// Pair resolves the handle of pair (i, j).
+func (c *Computer) Pair(i, j int) Pair {
+	p := c.find(i, j)
+	if p < 0 {
+		return Pair{}
+	}
+	return Pair{off: c.offspring(i), info: c.info.at(p), norm: c.norm.at(p)}
+}
+
+// Factors returns αᴵᵢⱼ(t)'s β-free factors: inv = 1/ℕᵢ(t) and
+// psi = Ψᵢⱼ(t). Both are 0 where αᴵᵢⱼ(t) is identically 0, for a pair
+// without interactions or before the receiver's first offspring
+// (ℕᵢ(t) = 0); otherwise inv > 0. DecayCursor.Informational combines them
+// with Φ's decayed sum.
+func (p Pair) Factors(t float64) (inv, psi float64) {
+	if p.info.len() == 0 {
+		return 0, 0
+	}
+	n := countUpTo(p.off, t)
+	if n == 0 {
+		return 0, 0
+	}
+	return 1 / float64(n), p.info.corrAt(t)
+}
+
+// Decay starts a monotone sweep of Φᵢⱼ's decayed interaction sum at decay
+// rate beta.
+func (p Pair) Decay(beta float64) DecayCursor { return p.info.cursor(beta) }
+
+// Normative returns αᴺᵢⱼ(t) of Eq. 5.2.
+func (p Pair) Normative(t float64) float64 { return p.norm.corrAt(t) }
 
 // InteractionCount returns how many parent-child interactions j→i exist in
 // the whole window (the size of N_ij(T)).

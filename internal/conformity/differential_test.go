@@ -200,8 +200,8 @@ func (c *refComputer) influenceDegreeGrad(i, j int, t, beta float64) (float64, f
 	if n == 0 {
 		return 0, 0
 	}
-	cur := decayCursor{times: s.times, beta: beta}
-	sum, dsum := cur.at(t)
+	cur := DecayCursor{times: s.times, beta: beta}
+	sum, dsum := cur.At(t)
 	inv := 1 / float64(n)
 	return sum * inv, dsum * inv
 }
@@ -354,7 +354,8 @@ func checkBuildAgainstReference(t *testing.T, data []byte) {
 			if got := got.InteractionCount(i, j); got != wantCount {
 				t.Fatalf("InteractionCount(%d, %d) = %d, reference %d", i, j, got, wantCount)
 			}
-			cur := got.InformationalCursor(i, j, beta)
+			pair := got.Pair(i, j)
+			cur := pair.Decay(beta)
 			for _, q := range queries {
 				phi, dphi := ref.influenceDegreeGrad(i, j, q, beta)
 				psi := ref.contextStance(i, j, q)
@@ -367,10 +368,12 @@ func checkBuildAgainstReference(t *testing.T, data []byte) {
 				ga, gd := got.InformationalGrad(i, j, q, beta)
 				same("InformationalGrad.alpha", i, j, q, ga, phi*psi)
 				same("InformationalGrad.dBeta", i, j, q, gd, dphi*psi)
-				ca, cd := cur.At(q)
-				same("InformationalCursor.alpha", i, j, q, ca, phi*psi)
-				same("InformationalCursor.dBeta", i, j, q, cd, dphi*psi)
+				inv, fpsi := pair.Factors(q)
+				ca, cd := cur.Informational(q, inv, fpsi)
+				same("Pair.Informational.alpha", i, j, q, ca, phi*psi)
+				same("Pair.Informational.dBeta", i, j, q, cd, dphi*psi)
 				same("Normative", i, j, q, got.Normative(i, j, q), ref.normative(i, j, q))
+				same("Pair.Normative", i, j, q, pair.Normative(q), ref.normative(i, j, q))
 			}
 		}
 	}

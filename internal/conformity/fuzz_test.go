@@ -93,7 +93,7 @@ func FuzzConformitySeries(f *testing.F) {
 				t.Fatalf("recursion diverged from naive at t=%g β=%g: (%g, %g) vs (%g, %g)",
 					q, beta, sum, dB, wantS, wantD)
 			}
-			cs, cd := cur.at(q)
+			cs, cd := cur.At(q)
 			if math.Float64bits(cs) != math.Float64bits(sum) || math.Float64bits(cd) != math.Float64bits(dB) {
 				t.Fatalf("cursor diverged from one-shot at t=%g", q)
 			}

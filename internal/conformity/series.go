@@ -138,7 +138,7 @@ func (s series) corrAt(t float64) float64 {
 // len returns the total number of samples.
 func (s series) len() int { return len(s.times) }
 
-// decayCursor incrementally evaluates Σ_{times[k] ≤ t} e^{−β(t−times[k])}
+// DecayCursor incrementally evaluates Σ_{times[k] ≤ t} e^{−β(t−times[k])}
 // and its β-derivative for ONE fixed β at nondecreasing query times, via the
 // exponential recursion (the same trick as internal/hawkes/fastpath.go):
 //
@@ -154,7 +154,7 @@ func (s series) len() int { return len(s.times) }
 // M-step β-gradient over a pair's history. Querying never mutates the
 // recursion state, so interleaving queries with sample consumption yields
 // bit-identical floats to a one-shot evaluation at the final time.
-type decayCursor struct {
+type DecayCursor struct {
 	times []float64
 	beta  float64
 	idx   int     // samples consumed so far
@@ -164,15 +164,28 @@ type decayCursor struct {
 }
 
 // cursor starts a monotone decay-sum sweep at the given decay rate.
-func (s series) cursor(beta float64) decayCursor {
-	return decayCursor{times: s.times, beta: beta}
+func (s series) cursor(beta float64) DecayCursor {
+	return DecayCursor{times: s.times, beta: beta}
 }
 
-// at returns the decayed sum and its β-derivative at time t. Query times
+// Informational returns αᴵ(t) = Φ(t)·Ψ(t) and its β-derivative from the
+// pair's factors at t (Pair.Factors) and the decayed sum at t: Φ = sum·inv,
+// ∂Φ/∂β = dSum·inv, each times psi. When inv is 0 the cursor is not
+// advanced and both are 0. Query times must be nondecreasing, as for At.
+func (c *DecayCursor) Informational(t, inv, psi float64) (alpha, dBeta float64) {
+	if inv == 0 {
+		return 0, 0
+	}
+	sum, dsum := c.At(t)
+	phi, dphi := sum*inv, dsum*inv
+	return phi * psi, dphi * psi
+}
+
+// At returns the decayed sum and its β-derivative at time t. Query times
 // must be nondecreasing across calls; samples with time ≤ t are consumed
 // (the tie rule matches countAt's Nextafter upper bound: a sample exactly at
 // t counts, with e^0 = 1).
-func (c *decayCursor) at(t float64) (sum, dBeta float64) {
+func (c *DecayCursor) At(t float64) (sum, dBeta float64) {
 	ts := c.times
 	for c.idx < len(ts) && ts[c.idx] <= t {
 		tk := ts[c.idx]
@@ -202,5 +215,5 @@ func (c *decayCursor) at(t float64) (sum, dBeta float64) {
 // at the same β should hold a cursor instead.
 func (s series) decaySumAt(t, beta float64) (sum, dBeta float64) {
 	c := s.cursor(beta)
-	return c.at(t)
+	return c.At(t)
 }

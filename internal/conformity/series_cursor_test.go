@@ -80,7 +80,7 @@ func TestDecayCursorMatchesOneShot(t *testing.T) {
 		q := -0.5
 		for trial := 0; trial < 40; trial++ {
 			q += r.Exp(4) // nondecreasing query times
-			gotS, gotD := cur.at(q)
+			gotS, gotD := cur.At(q)
 			wantS, wantD := s.decaySumAt(q, beta)
 			if math.Float64bits(gotS) != math.Float64bits(wantS) ||
 				math.Float64bits(gotD) != math.Float64bits(wantD) {
@@ -108,7 +108,7 @@ func TestDecaySumCursorFiniteUnderGarbage(t *testing.T) {
 	for _, beta := range []float64{0.01, 1, 20} {
 		cur := s.cursor(beta)
 		for _, q := range []float64{0, 1, 1.5, 2, 100} {
-			sum, dB := cur.at(q)
+			sum, dB := cur.At(q)
 			if math.IsNaN(sum) || math.IsInf(sum, 0) || math.IsNaN(dB) || math.IsInf(dB, 0) {
 				t.Fatalf("non-finite decay sum (%g, %g) at t=%g β=%g", sum, dB, q, beta)
 			}
@@ -168,9 +168,10 @@ func TestCountAtTieHandling(t *testing.T) {
 	}
 }
 
-// TestInformationalCursorMatchesGrad: the exported pair-level cursor is
-// bit-identical to InformationalGrad over a monotone query sweep.
-func TestInformationalCursorMatchesGrad(t *testing.T) {
+// TestPairMatchesGrad: the pair handle's β-free factors, combined with one
+// decay cursor over a monotone query sweep, are bit-identical to
+// InformationalGrad, and its Normative to Computer.Normative.
+func TestPairMatchesGrad(t *testing.T) {
 	seq, f := fixture(t)
 	c, err := New(seq, f, Options{})
 	if err != nil {
@@ -179,14 +180,19 @@ func TestInformationalCursorMatchesGrad(t *testing.T) {
 	for _, beta := range []float64{0.01, 0.5, 3, 20} {
 		for i := 0; i < seq.M; i++ {
 			for j := 0; j < seq.M; j++ {
-				cur := c.InformationalCursor(i, j, beta)
+				p := c.Pair(i, j)
+				cur := p.Decay(beta)
 				for q := 0.0; q <= seq.Horizon; q += 0.25 {
-					gotA, gotD := cur.At(q)
+					inv, psi := p.Factors(q)
+					gotA, gotD := cur.Informational(q, inv, psi)
 					wantA, wantD := c.InformationalGrad(i, j, q, beta)
 					if math.Float64bits(gotA) != math.Float64bits(wantA) ||
 						math.Float64bits(gotD) != math.Float64bits(wantD) {
-						t.Fatalf("cursor(%d,%d,β=%g).At(%g) = (%g, %g), want (%g, %g)",
-							i, j, beta, q, gotA, gotD, wantA, wantD)
+						t.Fatalf("pair(%d,%d) at %g, β=%g: (%g, %g), want (%g, %g)",
+							i, j, q, beta, gotA, gotD, wantA, wantD)
+					}
+					if got, want := p.Normative(q), c.Normative(i, j, q); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("pair(%d,%d).Normative(%g) = %g, want %g", i, j, q, got, want)
 					}
 				}
 			}

@@ -85,7 +85,7 @@ func quickCfg(v Variant) Config {
 // buildModelForGradCheck fits nothing: it constructs a model with random
 // parameters and real precomputed structures so the analytic gradient can
 // be checked in isolation.
-func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimData, *conformity.Computer) {
+func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimData) {
 	t.Helper()
 	d := smallDataset(t, seed)
 	cfg := quickCfg(v)
@@ -135,15 +135,16 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	if dim < 0 {
 		t.Skip("no suitable dimension")
 	}
-	dd := m.buildDim(seqColumns(work), conf, dim)
-	return m, dd, conf
+	return m, m.buildDim(seqColumns(work), conf, dim)
 }
 
 func TestObjectiveGradients(t *testing.T) {
 	for _, v := range []Variant{VariantL, VariantE, VariantLHP, VariantEHP, VariantLI, VariantLN} {
 		t.Run(v.Name(), func(t *testing.T) {
-			m, dd, conf := buildModelForGradCheck(t, v, 31)
-			obj := m.objective(dd, conf)
+			m, dd := buildModelForGradCheck(t, v, 31)
+			o := m.objective(dd)
+			defer o.release()
+			obj := o.eval
 			// Random interior point away from the λ-floor kinks.
 			r := rng.New(77)
 			x := m.pack(dd.i)

@@ -21,13 +21,14 @@ import (
 	"chassis/internal/timeline"
 )
 
-// The fit's two hot layers, the spectral kernel pass and the HP baselines'
-// M-step objective, are pinned here bit for bit against reference copies of
-// the straightforward implementations they replaced. The kernel reference
-// bins with Sequence.CountingProcess, asks excitation.Alpha about every
-// event and advances one event per sweep of the phase recurrence; the
-// objective reference refreshes a per-source-event weight on every call for
-// every variant.
+// The fit's two hot layers, the spectral kernel pass and the M-step
+// objective, are pinned here bit for bit against reference copies of the
+// straightforward implementations they replaced. The kernel reference bins
+// with Sequence.CountingProcess, asks excitation.Alpha about every event and
+// advances one event per sweep of the phase recurrence; the objective
+// reference is one fused value-and-gradient body for every variant that
+// refreshes a per-source-event weight on every call, reading αᴵ from
+// InformationalGrad at each source event.
 
 // refUpdateKernels is the reference kernel pass over a whole sequence.
 func (m *Model) refUpdateKernels(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer) error {
@@ -136,31 +137,13 @@ func (m *Model) refUpdateKernels(ctx context.Context, seq *timeline.Sequence, co
 func (m *Model) refObjective(d *dimData, conf *conformity.Computer) infer.Objective {
 	l := m.layout()
 	_, linear := m.link.(hawkes.LinearLink)
-	// Scratch reused across calls (objectives run single-threaded within
-	// one dimension's optimization).
 	w := make([]float64, len(d.src))    // per-source-event excitation weight
 	aI := make([]float64, len(d.src))   // αᴵ at the source event (current β)
 	daI := make([]float64, len(d.src))  // ∂αᴵ/∂β
 	clamped := make([]bool, len(d.src)) // linear-link zero-clamp mask
-	srcs := m.sources[d.i]
-	var curs []conformity.GradCursor
-	if l.useInformational {
-		curs = make([]conformity.GradCursor, len(srcs))
-	}
 
 	return func(x, grad []float64) float64 {
 		mu := x[0]
-		if l.useInformational {
-			// One monotone αᴵ cursor per source slot: β is fixed for the
-			// whole evaluation and d.src is chronological, so each pair's
-			// interaction history is consumed once per objective call —
-			// O(history + events) — instead of rescanned per source event.
-			// The cursor is bit-identical to InformationalGrad at every
-			// query point, so the fitted floats don't depend on this path.
-			for s, j := range srcs {
-				curs[s] = conf.InformationalCursor(d.i, j, x[l.betaIdx(s)])
-			}
-		}
 		// Refresh per-source-event weights under the current parameters.
 		for idx := range d.src {
 			e := &d.src[idx]
@@ -170,7 +153,7 @@ func (m *Model) refObjective(d *dimData, conf *conformity.Computer) infer.Object
 				wt = x[l.alphaIdx(int(e.jIdx))]
 			} else {
 				if l.useInformational {
-					ai, dai := curs[e.jIdx].At(e.t)
+					ai, dai := conf.InformationalGrad(d.i, int(e.j), e.t, x[l.betaIdx(int(e.jIdx))])
 					aI[idx], daI[idx] = ai, dai
 					wt += x[l.gammaIIdx(int(e.jIdx))] * ai
 				}
@@ -512,13 +495,15 @@ func TestKernelPassMatchesReference(t *testing.T) {
 	}
 }
 
+var objectiveVariants = []Variant{VariantLHP, VariantEHP, VariantL, VariantLI, VariantLN, VariantE, VariantEI, VariantEN}
+
 // TestObjectiveMatchesReference compares every objective value and gradient
 // component with the reference objective's, via math.Float64bits, for every
 // variant: the closed-form and the Euler-grid compensator, the static HP
-// objective and the conformity one (clamped negative weights included).
+// objective and the conformity one (clamped negative weights included), in
+// the call orders of the optimizer (sameObjectiveBits).
 func TestObjectiveMatchesReference(t *testing.T) {
-	variants := []Variant{VariantLHP, VariantEHP, VariantL, VariantLI, VariantLN, VariantE, VariantEI, VariantEN}
-	for vi, v := range variants {
+	for vi, v := range objectiveVariants {
 		t.Run(v.Name(), func(t *testing.T) {
 			r := rng.New(int64(41 + vi))
 			evaluated := 0
@@ -539,7 +524,7 @@ func TestObjectiveMatchesReference(t *testing.T) {
 						continue
 					}
 					d := m.buildDim(cols, conf, i)
-					obj, ref := m.objective(d, conf), m.refObjective(d, conf)
+					obj, ref := m.objective(d), m.refObjective(d, conf)
 					lower, upper := m.bounds(i)
 					for trial := 0; trial < 6; trial++ {
 						x := m.pack(i)
@@ -551,9 +536,10 @@ func TestObjectiveMatchesReference(t *testing.T) {
 								}
 							}
 						}
-						sameObjectiveBits(t, obj, ref, x)
+						sameObjectiveBits(t, obj.eval, ref, x)
 						evaluated++
 					}
+					obj.release()
 				}
 			}
 			if evaluated < 50 {
@@ -563,26 +549,162 @@ func TestObjectiveMatchesReference(t *testing.T) {
 	}
 }
 
-// sameObjectiveBits evaluates both objectives at x, without and with a
-// gradient, and fails t on the first differing bit.
+// TestObjectiveRunsValuePassOncePerPoint pins the memo: a gradient asked
+// for at the point of the last value pass runs only the gradient pass, and
+// any other point runs a value pass.
+func TestObjectiveRunsValuePassOncePerPoint(t *testing.T) {
+	for _, v := range []Variant{VariantLHP, VariantL} {
+		m, dd := buildModelForGradCheck(t, v, 31)
+		o := m.objective(dd)
+		x := m.pack(dd.i)
+		moved := slices.Clone(x)
+		moved[len(moved)-1] += 0.25
+		steps := []struct {
+			x            []float64
+			grad         bool
+			value, grads int // pass counts after the call
+		}{
+			{x, true, 1, 1},
+			{x, false, 1, 1},
+			{x, true, 1, 2},
+			{moved, false, 2, 2},
+			{x, true, 3, 3},
+			{moved, true, 4, 4},
+		}
+		for k, st := range steps {
+			var grad []float64
+			if st.grad {
+				grad = make([]float64, len(x))
+			}
+			o.eval(st.x, grad)
+			if o.valuePasses != st.value || o.gradPasses != st.grads {
+				t.Fatalf("%s call %d: %d value and %d gradient passes, want %d and %d",
+					v.Name(), k, o.valuePasses, o.gradPasses, st.value, st.grads)
+			}
+		}
+		o.release()
+	}
+}
+
+// objCall is one objective call: a point, with or without a gradient.
+type objCall struct {
+	x    []float64
+	grad bool
+}
+
+// sameObjectiveBits runs both objectives through the optimizer's call
+// orders around x and fails t on the first differing bit:
+//   - value only at x, then value and gradient at x (an accepted trial and
+//     the gradient refresh at it);
+//   - for every coordinate p, value only at x with x[p] moved, then value
+//     and gradient at x (a rejected trial, then a gradient at the kept
+//     point);
+//   - value only at a point whose value is NaN, then value and gradient at
+//     x.
 func sameObjectiveBits(t *testing.T, obj, ref infer.Objective, x []float64) {
 	t.Helper()
-	if got, want := obj(x, nil), ref(x, nil); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("value at %v: %v, reference %v", x, got, want)
+	calls := []objCall{{x, false}, {x, true}}
+	for p := range x {
+		moved := slices.Clone(x)
+		moved[p] += 0.125 + math.Abs(moved[p])/2
+		calls = append(calls, objCall{moved, false}, objCall{x, true})
 	}
-	g, w := make([]float64, len(x)), make([]float64, len(x))
-	for p := range g {
-		g[p], w[p] = math.NaN(), math.NaN() // stale gradients must be overwritten
+	nan := slices.Clone(x)
+	nan[0] = math.NaN()
+	if v := ref(nan, nil); !math.IsNaN(v) {
+		t.Fatalf("value %v at a NaN μ", v)
 	}
-	got, want := obj(x, g), ref(x, w)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("value with gradient at %v: %v, reference %v", x, got, want)
+	calls = append(calls, objCall{nan, false}, objCall{x, true})
+	if err := sameCallBits(obj, ref, calls); err != nil {
+		t.Fatal(err)
 	}
-	for p := range g {
-		if math.Float64bits(g[p]) != math.Float64bits(w[p]) {
-			t.Fatalf("gradient[%d] at %v: %v, reference %v", p, x, g[p], w[p])
+}
+
+// sameCallBits makes each call on both objectives in order and returns the
+// first value or gradient component whose bits differ.
+func sameCallBits(obj, ref infer.Objective, calls []objCall) error {
+	for k, c := range calls {
+		var g, w []float64
+		if c.grad {
+			g, w = make([]float64, len(c.x)), make([]float64, len(c.x))
+			for p := range g {
+				g[p], w[p] = math.NaN(), math.NaN() // stale gradients must be overwritten
+			}
+		}
+		got, want := obj(c.x, g), ref(c.x, w)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("call %d (gradient %v) at %v: value %v, reference %v", k, c.grad, c.x, got, want)
+		}
+		for p := range g {
+			if math.Float64bits(g[p]) != math.Float64bits(w[p]) {
+				return fmt.Errorf("call %d at %v: gradient[%d] %v, reference %v", k, c.x, p, g[p], w[p])
+			}
 		}
 	}
+	return nil
+}
+
+// FuzzObjective runs one dimension's objective against the reference
+// objective through a fuzzed call sequence on a fuzzed corpus (decoded by
+// refCase) and compares every value and gradient component bit for bit.
+// calls holds 2-byte records (op, b): op bit 0 asks for a gradient; op>>1
+// mod 4 picks the point: 0 repeats the previous point, 1 returns to the
+// model's packed parameters, 2 sets coordinate b mod n of the previous point
+// to (b−96)/64, and 3 sets it to NaN.
+func FuzzObjective(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(99), uint8(20), uint8(1),
+		[]byte{0, 10, 200, 0, 1, 40, 90, 70, 0, 80, 128, 65, 2, 120, 30, 66, 0, 160, 250, 67, 1, 200, 0, 80, 0, 255, 140, 90, 2, 255, 60, 91},
+		[]byte{0, 130, 7, 200, 1, 255, 96, 40},
+		[]byte{3, 0, 4, 5, 1, 0, 4, 200, 0, 0, 1, 0, 6, 1, 3, 0, 2, 0, 1, 0})
+	f.Add(uint8(5), uint8(4), uint8(150), uint8(40), uint8(0),
+		[]byte{0, 5, 10, 0, 1, 6, 250, 64, 2, 30, 128, 65, 3, 31, 1, 66, 0, 90, 90, 67, 1, 91, 200, 68, 2, 92, 60, 0, 0, 93, 40, 69, 1, 200, 220, 70, 0, 255, 128, 71},
+		[]byte{200, 20, 90, 0, 140, 180},
+		[]byte{3, 0, 4, 9, 1, 0, 5, 2, 1, 0, 4, 30, 4, 31, 3, 0})
+	f.Add(uint8(0), uint8(2), uint8(9), uint8(63), uint8(1),
+		[]byte{0, 1, 2, 3, 0, 2, 3, 64, 0, 3, 4, 65, 0, 255, 5, 66, 1, 255, 6, 67},
+		[]byte{1},
+		[]byte{1, 0, 0, 0, 4, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, variant, users, hz, support, dim uint8, data, rows, calls []byte) {
+		if len(data) > 4*200 {
+			data = data[:4*200]
+		}
+		if len(calls) > 2*64 {
+			calls = calls[:2*64]
+		}
+		horizon := 1 + float64(hz)
+		v := objectiveVariants[int(variant)%len(objectiveVariants)]
+		m, seq, conf, ok := refCase(v, 1+int(users%8), horizon, horizon*(1+float64(support%64))/128, data, rows)
+		if !ok {
+			t.Skip()
+		}
+		i := int(dim) % m.M
+		if len(m.sources[i]) == 0 {
+			t.Skip()
+		}
+		d := m.buildDim(seqColumns(seq), conf, i)
+		obj := m.objective(d)
+		defer obj.release()
+		base := m.pack(i)
+		x := base
+		var seqCalls []objCall
+		for k := 0; k+2 <= len(calls); k += 2 {
+			op, b := calls[k], calls[k+1]
+			switch op >> 1 % 4 {
+			case 1:
+				x = base
+			case 2:
+				x = slices.Clone(x)
+				x[int(b)%len(x)] = (float64(b) - 96) / 64
+			case 3:
+				x = slices.Clone(x)
+				x[int(b)%len(x)] = math.NaN()
+			}
+			seqCalls = append(seqCalls, objCall{x, op&1 == 1})
+		}
+		if err := sameCallBits(obj.eval, m.refObjective(d, conf), seqCalls); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // FuzzKernelPass runs the column-driven kernel pass against the reference
@@ -595,6 +717,14 @@ func FuzzKernelPass(f *testing.F) {
 		[]byte{0, 5, 10, 0, 1, 6, 250, 64, 2, 30, 128, 65, 3, 31, 1, 66, 0, 90, 90, 67, 1, 91, 200, 68, 2, 92, 60, 0, 0, 93, 40, 69, 1, 200, 220, 70, 0, 255, 128, 71},
 		[]byte{200, 20, 90, 0, 140, 180})
 	f.Add(uint8(5), uint8(2), uint8(9), uint8(63), []byte{0, 1, 2, 3, 0, 2, 3, 64, 0, 3, 4, 65, 0, 255, 5, 66, 1, 255, 6, 67}, []byte{1})
+	// L-HP on two users with every α at 0.325: each receiver's train is all
+	// 21 events, so dft.AddTrain's vector sweep runs twice and its Go tail
+	// takes the last 5.
+	train := make([]byte, 0, 4*21)
+	for k := 0; k < 21; k++ {
+		train = append(train, byte(k%2), byte(5+11*k), byte(40+9*k), 0)
+	}
+	f.Add(uint8(0), uint8(1), uint8(199), uint8(40), train, []byte{200})
 	f.Fuzz(func(t *testing.T, variant, users, hz, support uint8, data, rows []byte) {
 		if len(data) > 4*200 {
 			data = data[:4*200]

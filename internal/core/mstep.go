@@ -10,6 +10,7 @@ import (
 	"chassis/internal/hawkes"
 	"chassis/internal/infer"
 	"chassis/internal/parallel"
+	"chassis/internal/scratch"
 )
 
 const lambdaFloor = 1e-12
@@ -40,6 +41,7 @@ type dimData struct {
 	targets [][]winEntry // one window per event of dimension i
 	grid    [][]winEntry // Euler-grid windows (nonlinear links only)
 	gridH   float64
+	pairs   []conformity.Pair // conformity variants: source slot s's pair (i, sources[i][s])
 }
 
 // layout describes how one dimension's parameters pack into a flat vector:
@@ -160,223 +162,329 @@ func (m *Model) bounds(i int) (lower, upper []float64) {
 	return lower, upper
 }
 
-// objective builds dimension i's log-likelihood Objective over the packed
-// parameters. For the linear link the compensator is closed-form; for
-// nonlinear links it is a fixed-grid Euler sum (the final reported
-// likelihoods use the adaptive Theorem 7.1 integrator via the hawkes
-// engine; the fixed grid keeps the inner loop fast). The HP baselines take
-// staticObjective, the conformity-aware variants conformityObjective.
-func (m *Model) objective(d *dimData, conf *conformity.Computer) infer.Objective {
-	if !m.Variant.ConformityAware {
-		return m.staticObjective(d)
-	}
-	return m.conformityObjective(d, conf)
+// dimObjective is dimension d.i's M-step objective, the log-likelihood of
+// Eq. 7.1 over pack's parameters, in two passes. The value pass computes the
+// value at x and keeps, per target window and Euler-grid point, what the
+// gradient needs: the pre-link sum g and, for a target, the floored λ. The
+// gradient pass reads that state and accumulates the gradient terms. eval
+// keeps the point of the last value pass, so a call at a bitwise-equal
+// point, which is MaximizeProjected's gradient refresh at the trial it just
+// accepted, runs only the gradient pass.
+//
+// For the linear link the compensator is closed-form; for nonlinear links it
+// is a fixed-grid Euler sum (the final reported likelihoods use the adaptive
+// Theorem 7.1 integrator via the hawkes engine; the fixed grid keeps the
+// inner loop fast). The HP baselines' weight αᵢⱼ depends only on the source
+// slot, so their passes read it straight from x: no weight refresh over the
+// source events and no clamp mask (HP weights are never clamped). The
+// conformity-aware variants' per-source-event weight
+// w_e = γI·αᴵ(t_e; β) + γN·αᴺ(t_e) moves with β and the γs, so their value
+// pass refreshes it first; αᴵ's β-free factors are read once per dimension,
+// which leaves the value pass only the decay recursion.
+//
+// The value and each gradient component are independent sums, each added
+// in the order one fused value-and-gradient pass would add it, so every
+// evaluation is bit-identical to that pass (TestObjectiveMatchesReference;
+// DESIGN.md §7, "Fit hot layers").
+type dimObjective struct {
+	m      *Model
+	d      *dimData
+	l      layout
+	linear bool
+
+	slot []int32 // HP: the packed index of source event e's α
+
+	// Conformity-aware variants, per source event: the weight, αᴵ and
+	// ∂αᴵ/∂β at the current β, αᴵ's β-free factors and the linear-link
+	// zero-clamp mask; and one decay cursor per source slot.
+	w, aI, daI []float64
+	inv, psi   []float64
+	clamped    []bool
+	curs       []conformity.DecayCursor
+
+	g   []float64 // pre-link sum per target window, then per grid point
+	lam []float64 // floored λ per target window
+
+	x           []float64 // the point of the last value pass
+	value       float64   // its value
+	valid       bool      // x and value hold a pass
+	valuePasses int
+	gradPasses  int
+
+	floats []float64 // pooled backing array of every float slice above
 }
 
-// staticObjective is the HP baselines' objective. Their excitation weight
-// αᵢⱼ depends only on the source slot, so every term reads α straight from
-// x and adds its gradient inline: no per-call weight refresh over the source
-// events, no clamp mask (HP weights are never clamped) and no accumGrad
-// call. Every value and gradient component is summed in the order the
-// weight-refreshing objective used, so each evaluation is bit-identical to
-// it (DESIGN.md §7, "Fit hot layers").
-func (m *Model) staticObjective(d *dimData) infer.Objective {
+// clampPool recycles the conformity objectives' clamp masks.
+var clampPool scratch.Pool[bool]
+
+// objective builds dimension d.i's objective. Its per-dimension state comes
+// from the scratch pools; release hands it back.
+func (m *Model) objective(d *dimData) *dimObjective {
 	l := m.layout()
 	_, linear := m.link.(hawkes.LinearLink)
-	// slot[e] is the packed index of source event e's α.
-	slot := make([]int32, len(d.src))
-	for e := range d.src {
-		slot[e] = int32(l.alphaIdx(int(d.src[e].jIdx)))
+	o := &dimObjective{m: m, d: d, l: l, linear: linear}
+	nx := 1 + len(m.sources[d.i])*l.perSrc
+	nSrc := 0
+	if l.conformityAware {
+		nSrc = len(d.src)
 	}
-	return func(x, grad []float64) float64 {
-		mu := x[0]
-		if grad != nil {
-			clear(grad)
-		}
-		var value float64
-
-		// Event term: Σ ln λ(t_k).
-		for _, win := range d.targets {
-			g := mu
-			for _, en := range win {
-				g += x[slot[en.src]] * en.phi
-			}
-			lam := m.link.Apply(g)
-			if lam < lambdaFloor {
-				lam = lambdaFloor
-			}
-			value += math.Log(lam)
-			if grad == nil {
-				continue
-			}
-			c := m.link.Deriv(g) / lam
-			grad[0] += c
-			for _, en := range win {
-				grad[slot[en.src]] += c * en.phi
-			}
-		}
-
-		// Compensator term.
-		if linear {
-			value -= math.Max(mu, 0) * d.T
-			if grad != nil {
-				grad[0] -= d.T
-			}
-			for e := range d.src {
-				kInt := d.src[e].kInt
-				value -= x[slot[e]] * kInt
-				if grad != nil {
-					grad[slot[e]] += -kInt
-				}
-			}
-			return value
-		}
-		for _, win := range d.grid {
-			g := mu
-			for _, en := range win {
-				g += x[slot[en.src]] * en.phi
-			}
-			value -= d.gridH * m.link.Apply(g)
-			if grad == nil {
-				continue
-			}
-			c := -d.gridH * m.link.Deriv(g)
-			grad[0] += c
-			for _, en := range win {
-				grad[slot[en.src]] += c * en.phi
-			}
-		}
-		return value
+	buf := scratch.Floats(nx + len(d.targets) + len(d.grid) + len(d.targets) + 5*nSrc)
+	o.floats = buf
+	carve := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
 	}
-}
-
-// conformityObjective is the conformity-aware variants' objective: the
-// per-source-event weight w_e = γI·αᴵ(t_e; β) + γN·αᴺ(t_e) moves with β and
-// the γs, so each call refreshes it over the source events first.
-func (m *Model) conformityObjective(d *dimData, conf *conformity.Computer) infer.Objective {
-	l := m.layout()
-	_, linear := m.link.(hawkes.LinearLink)
-	// Scratch reused across calls (objectives run single-threaded within
-	// one dimension's optimization).
-	w := make([]float64, len(d.src))    // per-source-event excitation weight
-	aI := make([]float64, len(d.src))   // αᴵ at the source event (current β)
-	daI := make([]float64, len(d.src))  // ∂αᴵ/∂β
-	clamped := make([]bool, len(d.src)) // linear-link zero-clamp mask
-	srcs := m.sources[d.i]
-	var curs []conformity.GradCursor
+	o.x = carve(nx)
+	o.g = carve(len(d.targets) + len(d.grid))
+	o.lam = carve(len(d.targets))
+	if !l.conformityAware {
+		o.slot = make([]int32, len(d.src))
+		for e := range d.src {
+			o.slot[e] = int32(l.alphaIdx(int(d.src[e].jIdx)))
+		}
+		return o
+	}
+	o.w, o.aI, o.daI = carve(nSrc), carve(nSrc), carve(nSrc)
+	o.inv, o.psi = carve(nSrc), carve(nSrc)
+	o.clamped = clampPool.Get(nSrc)
 	if l.useInformational {
-		curs = make([]conformity.GradCursor, len(srcs))
-	}
-
-	return func(x, grad []float64) float64 {
-		mu := x[0]
-		if l.useInformational {
-			// One monotone αᴵ cursor per source slot: β is fixed for the
-			// whole evaluation and d.src is chronological, so each pair's
-			// interaction history is consumed once per objective call —
-			// O(history + events) — instead of rescanned per source event.
-			// The cursor is bit-identical to InformationalGrad at every
-			// query point, so the fitted floats don't depend on this path.
-			for s, j := range srcs {
-				curs[s] = conf.InformationalCursor(d.i, j, x[l.betaIdx(s)])
-			}
-		}
-		// Refresh per-source-event weights under the current parameters.
+		o.curs = make([]conformity.DecayCursor, len(d.pairs))
 		for idx := range d.src {
 			e := &d.src[idx]
-			var wt float64
-			if l.useInformational {
-				ai, dai := curs[e.jIdx].At(e.t)
-				aI[idx], daI[idx] = ai, dai
-				wt += x[l.gammaIIdx(int(e.jIdx))] * ai
-			}
-			if l.useNormative {
-				wt += x[l.gammaNIdx(int(e.jIdx))] * e.aN
-			}
-			// Mirror excitation.Alpha: linear-link clamp with zero
-			// subgradient while clamped.
-			clamped[idx] = linear && wt < 0
-			if clamped[idx] {
-				wt = 0
-			}
-			w[idx] = wt
+			o.inv[idx], o.psi[idx] = d.pairs[e.jIdx].Factors(e.t)
 		}
-		if grad != nil {
-			clear(grad)
-		}
-		var value float64
+	}
+	return o
+}
 
-		// Event term: Σ ln λ(t_k).
-		for _, win := range d.targets {
-			g := mu
-			for _, en := range win {
-				g += w[en.src] * en.phi
-			}
-			lam := m.link.Apply(g)
-			if lam < lambdaFloor {
-				lam = lambdaFloor
-			}
-			value += math.Log(lam)
-			if grad == nil {
-				continue
-			}
-			c := m.link.Deriv(g) / lam
-			grad[0] += c
-			for _, en := range win {
-				if clamped[en.src] {
-					continue
-				}
-				m.accumGrad(grad, l, d, en.src, c*en.phi, x, aI, daI)
-			}
-		}
+// release returns the objective's pooled state; o must not be used after.
+func (o *dimObjective) release() {
+	scratch.PutFloats(o.floats)
+	clampPool.Put(o.clamped)
+}
 
-		// Compensator term.
-		if linear {
-			value -= math.Max(mu, 0) * d.T
-			if grad != nil {
-				grad[0] -= d.T
-			}
-			for idx := range d.src {
-				value -= w[idx] * d.src[idx].kInt
-				if grad != nil && !clamped[idx] {
-					m.accumGrad(grad, l, d, int32(idx), -d.src[idx].kInt, x, aI, daI)
-				}
-			}
+// eval is the infer.Objective: the value at x, and the gradient into grad
+// when grad is not nil. The value pass runs unless x is bitwise the point of
+// the last one.
+func (o *dimObjective) eval(x, grad []float64) float64 {
+	if !o.at(x) {
+		if o.l.conformityAware {
+			o.value = o.conformityValue(x)
 		} else {
-			for _, win := range d.grid {
-				g := mu
-				for _, en := range win {
-					g += w[en.src] * en.phi
-				}
-				lam := m.link.Apply(g)
-				value -= d.gridH * lam
-				if grad == nil {
-					continue
-				}
-				c := -d.gridH * m.link.Deriv(g)
-				grad[0] += c
-				for _, en := range win {
-					if clamped[en.src] {
-						continue
-					}
-					m.accumGrad(grad, l, d, en.src, c*en.phi, x, aI, daI)
-				}
-			}
+			o.value = o.staticValue(x)
+		}
+		copy(o.x, x)
+		o.valid = true
+		o.valuePasses++
+	}
+	if grad != nil {
+		clear(grad)
+		if o.l.conformityAware {
+			o.conformityGradient(grad)
+		} else {
+			o.staticGradient(grad)
+		}
+		o.gradPasses++
+	}
+	return o.value
+}
+
+// at reports whether x is, bit for bit, the point of the last value pass.
+func (o *dimObjective) at(x []float64) bool {
+	if !o.valid {
+		return false
+	}
+	for p, v := range x {
+		if math.Float64bits(v) != math.Float64bits(o.x[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// staticValue is the HP value pass.
+func (o *dimObjective) staticValue(x []float64) float64 {
+	d, link, slot := o.d, o.m.link, o.slot
+	mu := x[0]
+	var value float64
+
+	// Event term: Σ ln λ(t_k).
+	for k, win := range d.targets {
+		g := mu
+		for _, en := range win {
+			g += x[slot[en.src]] * en.phi
+		}
+		lam := link.Apply(g)
+		if lam < lambdaFloor {
+			lam = lambdaFloor
+		}
+		o.g[k], o.lam[k] = g, lam
+		value += math.Log(lam)
+	}
+
+	// Compensator term.
+	if o.linear {
+		value -= math.Max(mu, 0) * d.T
+		for e := range d.src {
+			value -= x[slot[e]] * d.src[e].kInt
 		}
 		return value
+	}
+	gs := o.g[len(d.targets):]
+	for s, win := range d.grid {
+		g := mu
+		for _, en := range win {
+			g += x[slot[en.src]] * en.phi
+		}
+		gs[s] = g
+		value -= d.gridH * link.Apply(g)
+	}
+	return value
+}
+
+// staticGradient is the HP gradient pass at the last value pass's point.
+func (o *dimObjective) staticGradient(grad []float64) {
+	d, link, slot := o.d, o.m.link, o.slot
+	for k, win := range d.targets {
+		c := link.Deriv(o.g[k]) / o.lam[k]
+		grad[0] += c
+		for _, en := range win {
+			grad[slot[en.src]] += c * en.phi
+		}
+	}
+	if o.linear {
+		grad[0] -= d.T
+		for e := range d.src {
+			grad[slot[e]] += -d.src[e].kInt
+		}
+		return
+	}
+	gs := o.g[len(d.targets):]
+	for s, win := range d.grid {
+		c := -d.gridH * link.Deriv(gs[s])
+		grad[0] += c
+		for _, en := range win {
+			grad[slot[en.src]] += c * en.phi
+		}
+	}
+}
+
+// conformityValue is the conformity-aware value pass: it refreshes the
+// per-source-event weights under x, then sums the terms.
+func (o *dimObjective) conformityValue(x []float64) float64 {
+	d, l, link, w := o.d, o.l, o.m.link, o.w
+	mu := x[0]
+	if l.useInformational {
+		// One monotone decay cursor per source slot: β is fixed for the
+		// whole pass and d.src is chronological, so each pair's interaction
+		// history is consumed once per pass. The cursor's state does not
+		// depend on where queries fall, so αᴵ is bit-identical to
+		// InformationalGrad at every source event.
+		for s := range o.curs {
+			o.curs[s] = d.pairs[s].Decay(x[l.betaIdx(s)])
+		}
+	}
+	for idx := range d.src {
+		e := &d.src[idx]
+		var wt float64
+		if l.useInformational {
+			ai, dai := o.curs[e.jIdx].Informational(e.t, o.inv[idx], o.psi[idx])
+			o.aI[idx], o.daI[idx] = ai, dai
+			wt += x[l.gammaIIdx(int(e.jIdx))] * ai
+		}
+		if l.useNormative {
+			wt += x[l.gammaNIdx(int(e.jIdx))] * e.aN
+		}
+		// Mirror excitation.Alpha: linear-link clamp with zero subgradient
+		// while clamped.
+		o.clamped[idx] = o.linear && wt < 0
+		if o.clamped[idx] {
+			wt = 0
+		}
+		w[idx] = wt
+	}
+	var value float64
+
+	// Event term: Σ ln λ(t_k).
+	for k, win := range d.targets {
+		g := mu
+		for _, en := range win {
+			g += w[en.src] * en.phi
+		}
+		lam := link.Apply(g)
+		if lam < lambdaFloor {
+			lam = lambdaFloor
+		}
+		o.g[k], o.lam[k] = g, lam
+		value += math.Log(lam)
+	}
+
+	// Compensator term.
+	if o.linear {
+		value -= math.Max(mu, 0) * d.T
+		for idx := range d.src {
+			value -= w[idx] * d.src[idx].kInt
+		}
+		return value
+	}
+	gs := o.g[len(d.targets):]
+	for s, win := range d.grid {
+		g := mu
+		for _, en := range win {
+			g += w[en.src] * en.phi
+		}
+		gs[s] = g
+		value -= d.gridH * link.Apply(g)
+	}
+	return value
+}
+
+// conformityGradient is the conformity-aware gradient pass at the last value
+// pass's point.
+func (o *dimObjective) conformityGradient(grad []float64) {
+	d, link := o.d, o.m.link
+	for k, win := range d.targets {
+		c := link.Deriv(o.g[k]) / o.lam[k]
+		grad[0] += c
+		for _, en := range win {
+			if !o.clamped[en.src] {
+				o.accumGrad(grad, en.src, c*en.phi)
+			}
+		}
+	}
+	if o.linear {
+		grad[0] -= d.T
+		for idx := range d.src {
+			if !o.clamped[idx] {
+				o.accumGrad(grad, int32(idx), -d.src[idx].kInt)
+			}
+		}
+		return
+	}
+	gs := o.g[len(d.targets):]
+	for s, win := range d.grid {
+		c := -d.gridH * link.Deriv(gs[s])
+		grad[0] += c
+		for _, en := range win {
+			if !o.clamped[en.src] {
+				o.accumGrad(grad, en.src, c*en.phi)
+			}
+		}
 	}
 }
 
 // accumGrad adds scale·∂(w_e)/∂θ into the conformity parameter gradient for
-// source event e (w_e = γI·αᴵ + γN·αᴺ).
-func (m *Model) accumGrad(grad []float64, l layout, d *dimData, e int32, scale float64, x, aI, daI []float64) {
-	s := int(d.src[e].jIdx)
+// source event e (w_e = γI·αᴵ + γN·αᴺ), at the last value pass's point.
+func (o *dimObjective) accumGrad(grad []float64, e int32, scale float64) {
+	l := o.l
+	s := int(o.d.src[e].jIdx)
 	if l.useInformational {
-		grad[l.gammaIIdx(s)] += scale * aI[e]
-		grad[l.betaIdx(s)] += scale * x[l.gammaIIdx(s)] * daI[e]
+		grad[l.gammaIIdx(s)] += scale * o.aI[e]
+		grad[l.betaIdx(s)] += scale * o.x[l.gammaIIdx(s)] * o.daI[e]
 	}
 	if l.useNormative {
-		grad[l.gammaNIdx(s)] += scale * d.src[e].aN
+		grad[l.gammaNIdx(s)] += scale * o.d.src[e].aN
 	}
 }
 
@@ -420,7 +528,7 @@ func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Com
 		initStep *= m.stepScale
 	}
 	err := parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
-		norm := m.optimizeDim(i, m.buildDim(cols, conf, i), conf, initStep, norms != nil)
+		norm := m.optimizeDim(i, m.buildDim(cols, conf, i), initStep, norms != nil)
 		if norms != nil {
 			norms[i] = norm
 		}
@@ -441,7 +549,8 @@ func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Com
 
 // buildDim assembles dimension i's dimData: every event of i's sources
 // (time, kInt, aN) and one target window per event of i, kernel values in
-// event order, plus the Euler-grid windows of a nonlinear link. It is the
+// event order, plus the Euler-grid windows of a nonlinear link and, for the
+// conformity variants, each source slot's pair handle. It is the
 // M-step's only dimension builder; TestBatchBuilderMatchesPerDim pins it,
 // grid windows included, to a reference that scans the whole sequence once
 // per dimension.
@@ -473,6 +582,12 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 	if nSrc > 0 {
 		d.src = make([]srcEvent, 0, nSrc)
 	}
+	if l.conformityAware && len(srcs) > 0 {
+		d.pairs = make([]conformity.Pair, len(srcs))
+		for s, j := range srcs {
+			d.pairs[s] = conf.Pair(i, j)
+		}
+	}
 	w := windows{ends: make([]int, 0, len(cols.eventsOf(i)))}
 	start := 0
 	for _, k := range cols.merge(users) {
@@ -495,7 +610,7 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 		if s := slices.Index(srcs, u); s >= 0 {
 			e := srcEvent{j: int32(u), jIdx: int32(s), t: t, kInt: ker.Integral(T - t)}
 			if needAN {
-				e.aN = conf.Normative(i, u, t)
+				e.aN = d.pairs[s].Normative(t)
 			}
 			d.src = append(d.src, e)
 		}
@@ -573,11 +688,21 @@ func (m *Model) buildGrid(d *dimData) {
 // pack, box bounds, projected-gradient ascent, damped blend, fault-injection
 // hook, unpack. Returns the measured projected-gradient norm when wantNorm
 // (NaN when the optimizer failed and the dimension kept its parameters).
-func (m *Model) optimizeDim(i int, d *dimData, conf *conformity.Computer, initStep float64, wantNorm bool) float64 {
+// The objective's pass counts and the optimizer's rejected trials go to the
+// metrics registry once per dimension.
+func (m *Model) optimizeDim(i int, d *dimData, initStep float64, wantNorm bool) float64 {
 	x0 := m.pack(i)
 	lower, upper := m.bounds(i)
-	obj := m.objective(d, conf)
-	res, err := infer.MaximizeProjected(x0, obj, infer.Options{
+	obj := m.objective(d)
+	var res infer.Result
+	defer func() {
+		reg := m.cfg.metrics
+		reg.Counter("core.mstep_value_passes").Add(int64(obj.valuePasses))
+		reg.Counter("core.mstep_grad_passes").Add(int64(obj.gradPasses))
+		reg.Counter("core.mstep_rejected_trials").Add(int64(res.Rejected))
+		obj.release()
+	}()
+	res, err := infer.MaximizeProjected(x0, obj.eval, infer.Options{
 		MaxIter: m.cfg.MStepIters,
 		Lower:   lower, Upper: upper,
 		InitStep: initStep, Tol: 1e-7,
@@ -596,7 +721,7 @@ func (m *Model) optimizeDim(i int, d *dimData, conf *conformity.Computer, initSt
 		// Projected-gradient evaluation at the accepted point: a pure
 		// extra call, the objective reads only its arguments.
 		grad = make([]float64, len(res.X))
-		obj(res.X, grad)
+		obj.eval(res.X, grad)
 	}
 	if hook := faultinject.MStepResult; hook != nil {
 		// Fault injection: the hook may poison the accepted parameters

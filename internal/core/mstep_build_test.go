@@ -42,6 +42,11 @@ func (m *Model) refBuildDimData(seq *timeline.Sequence, conf *conformity.Compute
 		srcOf[k] = int32(len(d.src))
 		d.src = append(d.src, e)
 	}
+	if m.Variant.ConformityAware {
+		for _, j := range m.sources[i] {
+			d.pairs = append(d.pairs, conf.Pair(i, j))
+		}
+	}
 
 	// Target windows: for each event of dimension i, the preceding source
 	// events inside the kernel support.
@@ -224,7 +229,7 @@ func TestBatchedMStepMatchesPerDimOptimizer(t *testing.T) {
 				defer m.restoreState(snap)
 				for i := 0; i < m.M; i++ {
 					dd := m.refBuildDimData(work, nil, i, !linear)
-					m.optimizeDim(i, dd, nil, 0.05, false)
+					m.optimizeDim(i, dd, 0.05, false)
 				}
 				return paramsCopy(m)
 			}

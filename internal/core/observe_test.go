@@ -111,6 +111,45 @@ func TestObservedFitBitIdenticalToUnobserved(t *testing.T) {
 	}
 }
 
+// TestMStepPassCountsAcrossWorkers pins the M-step's work counters: the
+// value passes, gradient passes and rejected trials a fit reports are the
+// same at Workers 1 and 8, and each is nonzero.
+func TestMStepPassCountsAcrossWorkers(t *testing.T) {
+	forceSmallChunks(t, 48)
+	d := smallDataset(t, 91)
+	names := []string{"core.mstep_value_passes", "core.mstep_grad_passes", "core.mstep_rejected_trials"}
+	for _, v := range []Variant{VariantLHP, VariantL} {
+		var want []int64
+		for _, workers := range []int{1, 8} {
+			cfg := quickCfg(v)
+			cfg.EMIters = 3
+			cfg.Workers = workers
+			reg := obs.NewMetrics()
+			if _, err := FitContext(context.Background(), d.Seq, cfg, WithMetrics(reg)); err != nil {
+				t.Fatal(err)
+			}
+			var got []int64
+			for _, name := range names {
+				got = append(got, reg.Counter(name).Value())
+			}
+			if want == nil {
+				want = got
+				for k, n := range got {
+					if n <= 0 {
+						t.Fatalf("%s: %s = %d", v.Name(), names[k], n)
+					}
+				}
+				continue
+			}
+			for k := range names {
+				if got[k] != want[k] {
+					t.Fatalf("%s: %s = %d at Workers=%d, %d at Workers=1", v.Name(), names[k], got[k], workers, want[k])
+				}
+			}
+		}
+	}
+}
+
 // TestObservedFitMatchesEStepGolden re-runs the golden E-step scenario with
 // an observer attached: the inferred parents must still match the checked-in
 // fixture, proving observation cannot perturb the posterior readout.

@@ -14,7 +14,10 @@ import (
 )
 
 // Objective evaluates the function being maximized at x and writes its
-// gradient into grad (len(grad) == len(x)).
+// gradient into grad (len(grad) == len(x)) unless grad is nil.
+// MaximizeProjected asks for the gradient at an accepted point right after
+// the value-only call that accepted it, at the same x bit for bit, so an
+// objective that keeps its last value pass need only add the gradient there.
 type Objective func(x, grad []float64) float64
 
 // Options configures MaximizeProjected.
@@ -61,6 +64,7 @@ type Result struct {
 	Value     float64
 	Iters     int
 	Converged bool
+	Rejected  int // line-search trials that did not improve the objective
 }
 
 // MaximizeProjected runs projected gradient ascent from x0: take a gradient
@@ -106,6 +110,7 @@ func MaximizeProjected(x0 []float64, f Objective, opts Options) (Result, error) 
 				improved = true
 				break
 			}
+			res.Rejected++
 			step /= 2
 			if step < 1e-14 {
 				break

@@ -1,7 +1,8 @@
 // Package scratch provides sync.Pool-backed scratch slices for the hot
 // paths: the sharded E-step's per-chunk candidate buffers, the intensity
 // engine's per-call state and output vectors, the optimizer's gradient and
-// trial vectors, and the Monte-Carlo predictors' per-draw counters. These
+// trial vectors, the M-step objective's per-dimension state, and the
+// Monte-Carlo predictors' per-draw counters. These
 // loops run thousands of times per fit (and per served request), each
 // needing short-lived float64/int slices of recurring sizes; recycling them
 // keeps the allocator and GC out of the steady state.
