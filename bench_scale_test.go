@@ -55,10 +55,10 @@ type scaleBenchReport struct {
 	ShardedToInMemRSS float64 `json:"sharded_to_inmem_rss"`
 	// The conformity-aware (CHASSIS-L) leg of the study: same corpus, same
 	// contract — sharded fingerprint-equal to in-memory with a lower peak.
-	// The ratio is far closer to 1 than the baseline's because the retained
-	// pair-history computer (identical in both drivers, bounded only by
-	// Conformity.MaxActivePairs) dominates both peaks; the sharded win is
-	// the corpus/E-step state it does NOT hold.
+	// The ratio is closer to 1 than the baseline's because the retained
+	// pair-history computer (identical in both drivers, built only over the
+	// model's read set) weighs on both peaks; the sharded win is the
+	// corpus/E-step state it does NOT hold.
 	ConfModelFingerprint  string  `json:"conf_model_fingerprint"`
 	ConfShardedPeakRSS    int64   `json:"conf_sharded_peak_rss_bytes"`
 	ConfInMemPeakRSS      int64   `json:"conf_inmem_peak_rss_bytes"`
@@ -171,9 +171,8 @@ func measureScaleBench(t *testing.T) scaleBenchReport {
 	}
 
 	// The four fits run in ascending order of their true peaks — L-HP
-	// sharded (~0.6 GiB), L-HP in-memory (~1.1 GiB), conformity sharded
-	// (~3.2 GiB: the retained pair store, about 1 GiB on the warm-start
-	// forest, dominates), conformity in-memory (~4.1 GiB) — because
+	// sharded (~0.25 GiB), L-HP in-memory (~0.6 GiB), conformity sharded
+	// (~1.0 GiB), conformity in-memory (~1.5 GiB) — because
 	// obs.PeakRSSBytes is a process-lifetime high-water mark: a reading is
 	// that fit's own peak only if the fit climbed above everything before
 	// it, which requirePeakAbove asserts.

@@ -117,52 +117,6 @@ func TestAccumulatorOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestPairBudget: both construction paths enforce MaxActivePairs with the
-// typed overflow error at the same threshold, and a sufficient budget
-// changes nothing.
-func TestPairBudget(t *testing.T) {
-	seq, f, err := randomSeq(5, 60, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := New(seq, f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := len(full.ActivePairs())
-	if need < 3 {
-		t.Fatalf("fixture too small: %d pairs", need)
-	}
-
-	_, err = New(seq, f, Options{MaxActivePairs: need - 1})
-	var pe *PairBudgetError
-	if !errors.As(err, &pe) {
-		t.Fatalf("under-budget New returned %v, want *PairBudgetError", err)
-	}
-	if pe.Budget != need-1 {
-		t.Fatalf("budget in error = %d, want %d", pe.Budget, need-1)
-	}
-
-	acc := NewAccumulator(seq.M, Options{MaxActivePairs: need - 1})
-	for k := range seq.Activities {
-		a := &seq.Activities[k]
-		if err := acc.Append(a.Time, int(a.User), a.Polarity); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := acc.Finalize(f); !errors.As(err, &pe) {
-		t.Fatalf("under-budget Finalize returned %v, want *PairBudgetError", err)
-	}
-
-	ok, err := New(seq, f, Options{MaxActivePairs: need})
-	if err != nil {
-		t.Fatalf("exact budget must fit: %v", err)
-	}
-	if got := ok.Normative(1, 0, seq.Horizon); math.Float64bits(got) != math.Float64bits(full.Normative(1, 0, seq.Horizon)) {
-		t.Fatal("a sufficient budget must not change results")
-	}
-}
-
 // TestFinalizeRejectsOutOfRangeUser: a user id outside [0, m), as a child or
 // only as a parent, is an input error from the build rather than a panic.
 func TestFinalizeRejectsOutOfRangeUser(t *testing.T) {
@@ -179,6 +133,30 @@ func TestFinalizeRejectsOutOfRangeUser(t *testing.T) {
 		}
 		if _, err := acc.Finalize(f); err == nil {
 			t.Errorf("users %v over 2 users: Finalize succeeded, want an error", users)
+		}
+	}
+}
+
+// TestFinalizeOnRejectsBadReadSet: a read set with the wrong number of rows,
+// an id outside [0, m) or a row out of ascending order is an input error
+// from both read-set entries.
+func TestFinalizeOnRejectsBadReadSet(t *testing.T) {
+	seq, f, err := randomSeq(3, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reads := range [][][]int{{{1}, {0}}, {{1}, {0, 3}, {}}, {{}, {-1}, {}}, {{2, 1}, {}, {}}, {{}, {0, 0}, {}}} {
+		if _, err := NewOn(seq, f, Options{}, reads); err == nil {
+			t.Errorf("NewOn with read set %v succeeded, want an error", reads)
+		}
+		acc := NewAccumulator(seq.M, Options{})
+		for _, a := range seq.Activities {
+			if err := acc.Append(a.Time, int(a.User), a.Polarity); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := acc.FinalizeOn(f, reads); err == nil {
+			t.Errorf("FinalizeOn with read set %v succeeded, want an error", reads)
 		}
 	}
 }

@@ -12,20 +12,28 @@ import (
 	"chassis/internal/stats"
 )
 
-// fromColumns is the shared build entry: both New and Accumulator.Finalize
-// land here, which is what makes the streamed computer bit-identical to the
-// in-memory one. It runs in linear passes over flat arrays:
+// fromColumns is the shared build entry: New, NewOn and the Accumulator's
+// Finalize and FinalizeOn all land here, which is what makes the streamed
+// computer bit-identical to the in-memory one. reads is the read set: when
+// non-nil, receiver i keeps only the pairs (i, j) with j in reads[i]
+// (ascending ids in [0, m)), and nil keeps every pair. It runs in linear
+// passes over flat arrays:
 //
 //  1. Collect: the informational samples (parent→child pairs, in index
 //     order) and the normative contributions (per cascade, then in stable
-//     time order).
+//     time order) of the kept pairs.
 //  2. Index: two stable counting passes sort every sample by (receiver,
 //     source), keeping each pair's samples in stream order; one scan then
-//     numbers the distinct pairs into the CSR pair index. MaxActivePairs is
-//     checked here, before any series column exists.
+//     numbers the distinct pairs into the CSR pair index.
 //  3. Fill: each pair's exactly sized slots are written in stream order,
 //     pair after pair, accumulating the prefix moments as they go.
-func fromColumns(m int, times []float64, users []int32, polar []float64, forest *branching.Forest, opts Options) (*Computer, error) {
+//
+// A pair's series depends only on its own samples, in stream order, and on
+// the receiver's offspring times, so a kept pair answers every query
+// exactly as an all-pairs build does: the offspring index keeps every
+// offspring, and the MaxTreePairs stride counts every cross-path pair before
+// the read set filters any.
+func fromColumns(m int, times []float64, users []int32, polar []float64, forest *branching.Forest, opts Options, reads [][]int) (*Computer, error) {
 	if forest == nil {
 		return nil, errors.New("conformity: nil forest")
 	}
@@ -37,8 +45,20 @@ func fromColumns(m int, times []float64, users []int32, polar []float64, forest 
 			return nil, fmt.Errorf("conformity: event %d has user %d outside [0, %d)", k, u, m)
 		}
 	}
+	if reads != nil {
+		if len(reads) != m {
+			return nil, fmt.Errorf("conformity: read set has %d rows for %d users", len(reads), m)
+		}
+		for i, row := range reads {
+			for x, j := range row {
+				if j < 0 || j >= m || x > 0 && row[x-1] >= j {
+					return nil, fmt.Errorf("conformity: read set row %d is not ascending in [0, %d)", i, m)
+				}
+			}
+		}
+	}
 	opts.fill()
-	b := &builder{m: m, times: times, users: users, polar: polar, forest: forest, opts: opts}
+	b := &builder{m: m, times: times, users: users, polar: polar, forest: forest, opts: opts, reads: reads}
 	events := make([]int32, len(times))
 	for k := range events {
 		events[k] = int32(k)
@@ -49,10 +69,7 @@ func fromColumns(m int, times []float64, users []int32, polar []float64, forest 
 	if err := b.collectNormative(events); err != nil {
 		return nil, err
 	}
-	var err error
-	if c.rowOff, c.srcs, err = b.index(); err != nil {
-		return nil, err
-	}
+	c.rowOff, c.srcs = b.index()
 	c.info, c.norm = b.fill()
 	return c, nil
 }
@@ -67,6 +84,7 @@ type builder struct {
 	polar  []float64
 	forest *branching.Forest
 	opts   Options
+	reads  [][]int // the read set; nil keeps every pair
 
 	info []int32            // informational samples: child activity, in index order
 	norm []normContribution // normative contributions, in enumeration order
@@ -131,15 +149,27 @@ func (b *builder) offspring(events []int32) (off []int32, ts []float64) {
 	return off[:b.m+1], ts
 }
 
+// keeps reports whether the build collects the samples of pair (receiver i,
+// source j).
+func (b *builder) keeps(i, j int32) bool {
+	if b.reads == nil {
+		return true
+	}
+	_, ok := slices.BinarySearch(b.reads[i], int(j))
+	return ok
+}
+
 // collectInformational lists the parent-child interactions between distinct
-// users (or any users, with IncludeSelf) in chronological (index) order.
+// users (or any users, with IncludeSelf) of kept pairs in chronological
+// (index) order.
 func (b *builder) collectInformational() {
 	for k := range b.times {
 		parent := b.forest.Parent(k)
 		if parent < 0 {
 			continue
 		}
-		if b.users[k] == b.users[parent] && !b.opts.IncludeSelf {
+		i, j := b.users[k], b.users[parent]
+		if i == j && !b.opts.IncludeSelf || !b.keeps(i, j) {
 			continue
 		}
 		b.info = append(b.info, int32(k))
@@ -149,10 +179,10 @@ func (b *builder) collectInformational() {
 // collectNormative enumerates, per cascade, ordered activity pairs of
 // distinct users, splits them into Scenario 1 (ancestor) and Scenario 2
 // (cross-path, recalibrated through the LCA), and orders the contributions
-// by time, stably — so fill streams each pair's normative series
-// chronologically, exactly the "scanning all information cascades up to
-// time t" procedure of Section 5.2. Sample numbers are int32, so it fails
-// once the samples of both kinds outnumber math.MaxInt32.
+// of kept pairs by time, stably — so fill streams each pair's normative
+// series chronologically, exactly the "scanning all information cascades up
+// to time t" procedure of Section 5.2. Sample numbers are int32, so it
+// fails once the samples of both kinds outnumber math.MaxInt32.
 func (b *builder) collectNormative(events []int32) error {
 	f := b.forest
 	// Group the activities by cascade in linear time; each tree's nodes stay
@@ -194,15 +224,22 @@ func (b *builder) collectNormative(events []int32) error {
 				if !isAncestor && b.opts.DisableLCA {
 					continue
 				}
-				nc := normContribution{e1: int32(e1), e2: int32(e2), lca: -1}
 				if !isAncestor {
 					// Scenario 2 pairs are the ones subsampled under the cap;
 					// ancestor pairs always survive (they carry the direct
-					// chain-of-influence signal).
+					// chain-of-influence signal). The count runs over every
+					// pair, kept or not, so the subsample does not depend on
+					// the read set.
 					count++
 					if stride > 1 && count%stride != 0 {
 						continue
 					}
+				}
+				if !b.keeps(b.users[e2], b.users[e1]) {
+					continue
+				}
+				nc := normContribution{e1: int32(e1), e2: int32(e2), lca: -1}
+				if !isAncestor {
 					nc.lca = int32(f.LCA(e1, e2))
 				}
 				b.norm = append(b.norm, nc)
@@ -250,9 +287,8 @@ func (b *builder) source(r int32) int32 {
 // two user keys) of the samples in stream order — informational ones
 // first — so each pair's samples keep that order. One scan over the sorted
 // samples then numbers the distinct pairs into the CSR index and counts
-// each pair's samples, failing with *PairBudgetError as soon as the pairs
-// outnumber MaxActivePairs, before any series column is allocated.
-func (b *builder) index() (rowOff, srcs []int32, err error) {
+// each pair's samples.
+func (b *builder) index() (rowOff, srcs []int32) {
 	ns := len(b.info) + len(b.norm)
 	in := make([]int32, 0, ns)
 	for r := range b.info {
@@ -269,14 +305,10 @@ func (b *builder) index() (rowOff, srcs []int32, err error) {
 	b.byPair = in
 
 	rowOff = make([]int32, b.m+1)
-	budget := b.opts.MaxActivePairs
 	prevI, prevJ := int32(-1), int32(-1)
 	for _, r := range b.byPair {
 		i, j := b.receiver(r), b.source(r)
 		if i != prevI || j != prevJ {
-			if budget > 0 && len(srcs) == budget {
-				return nil, nil, &PairBudgetError{Budget: budget}
-			}
 			srcs = append(srcs, j)
 			b.infoCnt = append(b.infoCnt, 0)
 			b.normCnt = append(b.normCnt, 0)
@@ -292,7 +324,7 @@ func (b *builder) index() (rowOff, srcs []int32, err error) {
 	for i := 0; i < b.m; i++ {
 		rowOff[i+1] += rowOff[i]
 	}
-	return rowOff, slices.Clone(srcs), nil
+	return rowOff, slices.Clone(srcs)
 }
 
 // fill allocates both series stores exactly and writes them pair after

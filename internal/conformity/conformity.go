@@ -22,6 +22,9 @@
 // bit-for-bit: New for an in-memory sequence, and Accumulator for streamed
 // corpora (the out-of-core sharded fit appends (time, user, polarity)
 // triples shard by shard, then finalizes against the iteration's forest).
+// NewOn and FinalizeOn restrict either path to a read set, the pairs a
+// caller can query; every kept pair is the same series as in a build of
+// every pair.
 package conformity
 
 import (
@@ -40,15 +43,6 @@ type Options struct {
 	// (Scenario 1) pairs plus a deterministic stride sample of cross-path
 	// (Scenario 2) pairs. 0 means the default of 20000.
 	MaxTreePairs int
-	// MaxActivePairs bounds how many ordered (receiver, source) pairs a
-	// build may materialize — the working-set knob for out-of-core fits,
-	// where per-pair series are the only conformity state that grows with
-	// the corpus rather than with shard size. The build indexes the
-	// distinct pairs before it allocates any series column, and fails with
-	// *PairBudgetError exactly when their number exceeds the budget, instead
-	// of silently dropping pairs (a dropped pair would change fitted
-	// parameters). 0 means unlimited.
-	MaxActivePairs int
 	// IncludeSelf also tracks a user's conformity to themselves. The paper
 	// pairs distinct individuals, so the default is false.
 	IncludeSelf bool
@@ -63,15 +57,6 @@ func (o *Options) fill() {
 	if o.MaxTreePairs <= 0 {
 		o.MaxTreePairs = 20000
 	}
-}
-
-// PairBudgetError reports that a conformity build needed more ordered pairs
-// than Options.MaxActivePairs allows. The caller should either raise the
-// budget or shrink the pair support (e.g. a larger stride cap).
-type PairBudgetError struct{ Budget int }
-
-func (e *PairBudgetError) Error() string {
-	return fmt.Sprintf("conformity: active-pair budget of %d exceeded", e.Budget)
 }
 
 // OutOfOrderError reports a non-chronological append to an Accumulator.
@@ -106,9 +91,19 @@ type Computer struct {
 	norm   seriesStore // cascade-level contributions: (x_j, y_i)
 }
 
-// New extracts conformity structures. Activities must carry polarities
-// (see stance.AnnotateSequence); the forest must cover the same activities.
+// New extracts conformity structures for every pair. Activities must carry
+// polarities (see stance.AnnotateSequence); the forest must cover the same
+// activities.
 func New(seq *timeline.Sequence, forest *branching.Forest, opts Options) (*Computer, error) {
+	return NewOn(seq, forest, opts, nil)
+}
+
+// NewOn is New restricted to a read set: reads[i] lists, ascending, the
+// sources j whose pair (i, j) the computer keeps, and nil keeps every pair.
+// A kept pair answers every query bit for bit as New's computer does; any
+// other pair answers 0. A read set without one row per user, or with a row
+// not ascending in [0, M), is an error.
+func NewOn(seq *timeline.Sequence, forest *branching.Forest, opts Options, reads [][]int) (*Computer, error) {
 	if seq == nil || forest == nil {
 		return nil, errors.New("conformity: nil sequence or forest")
 	}
@@ -122,7 +117,7 @@ func New(seq *timeline.Sequence, forest *branching.Forest, opts Options) (*Compu
 		polar[k] = a.Polarity
 		users[k] = int32(a.User)
 	}
-	return fromColumns(seq.M, times, users, polar, forest, opts)
+	return fromColumns(seq.M, times, users, polar, forest, opts, reads)
 }
 
 // Accumulator buffers a chronological stream of (time, user, polarity)
@@ -166,7 +161,12 @@ func (a *Accumulator) Len() int { return len(a.times) }
 // accumulator's columns are handed over, not copied; the accumulator can be
 // reused only after fresh Appends.
 func (a *Accumulator) Finalize(forest *branching.Forest) (*Computer, error) {
-	return fromColumns(a.m, a.times, a.users, a.polar, forest, a.opts)
+	return a.FinalizeOn(forest, nil)
+}
+
+// FinalizeOn is Finalize restricted to a read set, as NewOn is New.
+func (a *Accumulator) FinalizeOn(forest *branching.Forest, reads [][]int) (*Computer, error) {
+	return fromColumns(a.m, a.times, a.users, a.polar, forest, a.opts, reads)
 }
 
 // find returns the index of pair (i, j) in the pair index — one binary

@@ -1,14 +1,15 @@
 package conformity
 
 import (
-	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"chassis/internal/branching"
 	"chassis/internal/rng"
 	"chassis/internal/stats"
+	"chassis/internal/timeline"
 )
 
 // refSeries is the reference layout the CSR store must reproduce: one
@@ -74,25 +75,25 @@ func (s *refSeries) corrAt(t float64) float64 {
 // refComputer is the reference build: a map of per-pair series, each grown
 // by appends in stream order — informational samples in index order, then
 // the normative contributions of every cascade (grouped by scanning all
-// nodes for each tree id) in stable time order.
+// nodes for each tree id) in stable time order. strided lists, for each
+// tree whose pairs exceed MaxTreePairs, the (receiver, source) keys of its
+// cross-path pairs in the order the stride counts them.
 type refComputer struct {
 	pairs     map[[2]int32]*[2]*refSeries // [info, norm]
 	offspring [][]float64
+	strided   [][][2]int32
 }
 
-func buildRef(m int, times []float64, users []int32, polar []float64, f *branching.Forest, opts Options) (*refComputer, error) {
+func buildRef(m int, times []float64, users []int32, polar []float64, f *branching.Forest, opts Options) *refComputer {
 	opts.fill()
 	c := &refComputer{pairs: map[[2]int32]*[2]*refSeries{}, offspring: make([][]float64, m)}
-	pair := func(i, j int32) (*[2]*refSeries, error) {
+	pair := func(i, j int32) *[2]*refSeries {
 		p, ok := c.pairs[[2]int32{i, j}]
 		if !ok {
-			if opts.MaxActivePairs > 0 && len(c.pairs) >= opts.MaxActivePairs {
-				return nil, &PairBudgetError{Budget: opts.MaxActivePairs}
-			}
 			p = &[2]*refSeries{newRefSeries(), newRefSeries()}
 			c.pairs[[2]int32{i, j}] = p
 		}
-		return p, nil
+		return p
 	}
 	for k := range times {
 		parent := f.Parent(k)
@@ -104,11 +105,7 @@ func buildRef(m int, times []float64, users []int32, polar []float64, f *branchi
 		if i == j && !opts.IncludeSelf {
 			continue
 		}
-		p, err := pair(i, j)
-		if err != nil {
-			return nil, err
-		}
-		p[0].add(times[k], polar[parent], polar[k])
+		pair(i, j)[0].add(times[k], polar[parent], polar[k])
 	}
 	for i := range c.offspring {
 		sort.Float64s(c.offspring[i])
@@ -133,6 +130,7 @@ func buildRef(m int, times []float64, users []int32, polar []float64, f *branchi
 			stride = (total + opts.MaxTreePairs - 1) / opts.MaxTreePairs
 		}
 		count := 0
+		var counted [][2]int32
 		for b := 1; b < n; b++ {
 			for a := 0; a < b; a++ {
 				e1, e2 := nodes[a], nodes[b]
@@ -146,6 +144,7 @@ func buildRef(m int, times []float64, users []int32, polar []float64, f *branchi
 				lca := -1
 				if !anc {
 					count++
+					counted = append(counted, [2]int32{users[e2], users[e1]})
 					if stride > 1 && count%stride != 0 {
 						continue
 					}
@@ -153,6 +152,9 @@ func buildRef(m int, times []float64, users []int32, polar []float64, f *branchi
 				}
 				contribs = append(contribs, contrib{times[e2], e1, e2, lca})
 			}
+		}
+		if stride > 1 {
+			c.strided = append(c.strided, counted)
 		}
 	}
 	sort.SliceStable(contribs, func(a, b int) bool { return contribs[a].t < contribs[b].t })
@@ -166,10 +168,7 @@ func buildRef(m int, times []float64, users []int32, polar []float64, f *branchi
 	}
 	for _, nc := range contribs {
 		key := [2]int32{users[nc.e2], users[nc.e1]}
-		p, err := pair(key[0], key[1])
-		if err != nil {
-			return nil, err
-		}
+		p := pair(key[0], key[1])
 		x, y := polar[nc.e1], polar[nc.e2]
 		if nc.lca < 0 {
 			p[1].add(nc.t, x, y)
@@ -180,7 +179,43 @@ func buildRef(m int, times []float64, users []int32, polar []float64, f *branchi
 		ai.Add(y, polar[nc.lca])
 		p[1].add(nc.t, corrOrSeed(aj, x, polar[nc.lca]), corrOrSeed(ai, y, polar[nc.lca]))
 	}
-	return c, nil
+	return c
+}
+
+// inReads reports whether pair (i, j) is in the read set (every pair when
+// reads is nil).
+func inReads(reads [][]int, i, j int) bool {
+	return reads == nil || i >= 0 && i < len(reads) && slices.Contains(reads[i], j)
+}
+
+// restrict returns the reference with only the pairs of the read set: what
+// a read-set build must answer, since it keeps every in-set pair's series
+// whole and the receivers' offspring times untouched.
+func (c *refComputer) restrict(reads [][]int) *refComputer {
+	out := &refComputer{pairs: map[[2]int32]*[2]*refSeries{}, offspring: c.offspring}
+	for k, p := range c.pairs {
+		if inReads(reads, int(k[0]), int(k[1])) {
+			out.pairs[k] = p
+		}
+	}
+	return out
+}
+
+// filteredFirst reports whether some tree under a MaxTreePairs stride
+// counts a cross-path pair outside the read set before one inside it: the
+// case where filtering before the stride count could change the subsample.
+func (c *refComputer) filteredFirst(reads [][]int) bool {
+	for _, keys := range c.strided {
+		out := false
+		for _, k := range keys {
+			if !inReads(reads, int(k[0]), int(k[1])) {
+				out = true
+			} else if out {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (c *refComputer) series(i, j int, kind int) *refSeries {
@@ -223,9 +258,34 @@ func (c *refComputer) normative(i, j int, t float64) float64 {
 // buildCase decodes bytes into a conformity build input: a few users (some
 // never active), chronological times with ties, random earlier parents,
 // polarities including NaN and ±Inf, random IncludeSelf, DisableLCA and
-// small MaxTreePairs strides, and a decay rate from the M-step's box.
-// Missing bytes read as zero.
-func buildCase(data []byte) (m int, times []float64, users []int32, polar []float64, parents []int32, opts Options, beta float64) {
+// small MaxTreePairs strides, a decay rate from the M-step's box, and a
+// read set. Missing bytes read as zero.
+//
+// The read set is read backwards from the last bytes without consuming
+// them, so drawing it moves no event: a last byte that is a multiple of 5
+// keeps every pair (nil); otherwise the byte before it decides user 0's
+// row, the one before that user 1's, and so on — empty, full, or the users
+// whose bit is set.
+func buildCase(data []byte) (m int, times []float64, users []int32, polar []float64, parents []int32, reads [][]int, opts Options, beta float64) {
+	tail := data
+	defer func() {
+		if len(tail) == 0 || tail[len(tail)-1]%5 == 0 {
+			return
+		}
+		reads = make([][]int, m)
+		for i := range reads {
+			b := 0
+			if k := len(tail) - 2 - i; k >= 0 {
+				b = int(tail[k])
+			}
+			reads[i] = []int{}
+			for j := 0; j < m; j++ {
+				if b%4 == 1 || b%4 >= 2 && b>>(2+j%6)&1 == 1 {
+					reads[i] = append(reads[i], j)
+				}
+			}
+		}
+	}()
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -268,47 +328,62 @@ func buildCase(data []byte) (m int, times []float64, users []int32, polar []floa
 		times = append(times, tm)
 		polar = append(polar, p)
 	}
-	return m, times, users, polar, parents, opts, beta
+	return m, times, users, polar, parents, reads, opts, beta
 }
 
 // checkBuildAgainstReference builds the decoded case through the streamed
 // Accumulator path and through the reference, and requires every public
 // query to agree bit for bit at every event time and between them, for
-// every pair including pairless and out-of-range users.
-func checkBuildAgainstReference(t *testing.T, data []byte) {
+// every pair including pairless and out-of-range users. It then builds the
+// case on its read set through both read-set entries, FinalizeOn and NewOn,
+// and requires the same of the reference restricted to the read set: every
+// in-set pair answers as in the all-pairs build, every other pair answers
+// 0, and the active pairs are the reference's in-set pairs. It returns
+// whether a filtered-out cross-path pair was counted before a kept one
+// under a MaxTreePairs stride.
+func checkBuildAgainstReference(t *testing.T, data []byte) (filteredFirst bool) {
 	t.Helper()
-	m, times, users, polar, parents, opts, beta := buildCase(data)
+	m, times, users, polar, parents, reads, opts, beta := buildCase(data)
 	f, err := branching.FromParents32(parents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := 0
-	if len(data) > 0 && data[len(data)-1]%5 == 0 {
-		budget = int(data[len(data)-1] % 16) // sometimes too small
-	}
-	opts.MaxActivePairs = budget
 	acc := NewAccumulator(m, opts)
 	for k := range times {
 		if err := acc.Append(times[k], int(users[k]), polar[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, gotErr := acc.Finalize(f)
-	ref, refErr := buildRef(m, times, users, polar, f, opts)
-	var ge, re *PairBudgetError
-	if errors.As(gotErr, &ge) != errors.As(refErr, &re) || (ge != nil && ge.Budget != re.Budget) {
-		t.Fatalf("budget %d: build error %v, reference error %v", budget, gotErr, refErr)
+	ref := buildRef(m, times, users, polar, f, opts)
+	kept := ref.restrict(reads)
+	seq := &timeline.Sequence{M: m, Activities: make([]timeline.Activity, len(times))}
+	for k := range times {
+		seq.Activities[k] = timeline.Activity{ID: timeline.ActivityID(k), Time: times[k], User: timeline.UserID(users[k]), Polarity: polar[k]}
 	}
-	if refErr != nil {
-		if !errors.As(refErr, &re) {
-			t.Fatal(refErr)
+	for _, build := range []struct {
+		name string
+		ref  *refComputer
+		run  func() (*Computer, error)
+	}{
+		{"Finalize", ref, func() (*Computer, error) { return acc.Finalize(f) }},
+		{"FinalizeOn", kept, func() (*Computer, error) { return acc.FinalizeOn(f, reads) }},
+		{"NewOn", kept, func() (*Computer, error) { return NewOn(seq, f, opts, reads) }},
+	} {
+		got, err := build.run()
+		if err != nil {
+			t.Fatalf("%s: %v", build.name, err)
 		}
-		return
+		checkComputer(t, build.name, got, build.ref, m, times, beta)
 	}
-	if gotErr != nil {
-		t.Fatal(gotErr)
-	}
+	return ref.filteredFirst(reads)
+}
 
+// checkComputer requires every public query of got to equal the
+// reference's bit for bit, for every pair including pairless and
+// out-of-range users, at every event time, between them, and before and
+// after them.
+func checkComputer(t *testing.T, build string, got *Computer, ref *refComputer, m int, times []float64, beta float64) {
+	t.Helper()
 	var wantPairs []PairKey
 	for k := range ref.pairs {
 		wantPairs = append(wantPairs, PairKey{Receiver: int(k[0]), Source: int(k[1])})
@@ -321,11 +396,11 @@ func checkBuildAgainstReference(t *testing.T, data []byte) {
 	})
 	gotPairs := got.ActivePairs()
 	if len(gotPairs) != len(wantPairs) {
-		t.Fatalf("%d active pairs, reference has %d", len(gotPairs), len(wantPairs))
+		t.Fatalf("%s: %d active pairs, reference has %d", build, len(gotPairs), len(wantPairs))
 	}
 	for k := range wantPairs {
 		if gotPairs[k] != wantPairs[k] {
-			t.Fatalf("active pair %d = %+v, reference %+v", k, gotPairs[k], wantPairs[k])
+			t.Fatalf("%s: active pair %d = %+v, reference %+v", build, k, gotPairs[k], wantPairs[k])
 		}
 	}
 
@@ -342,7 +417,7 @@ func checkBuildAgainstReference(t *testing.T, data []byte) {
 	same := func(what string, i, j int, q, got, want float64) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Helper()
-			t.Fatalf("%s(%d, %d) at t=%g: %v, reference %v", what, i, j, q, got, want)
+			t.Fatalf("%s: %s(%d, %d) at t=%g: %v, reference %v", build, what, i, j, q, got, want)
 		}
 	}
 	for i := -1; i <= m; i++ {
@@ -352,7 +427,7 @@ func checkBuildAgainstReference(t *testing.T, data []byte) {
 				wantCount = len(s.times)
 			}
 			if got := got.InteractionCount(i, j); got != wantCount {
-				t.Fatalf("InteractionCount(%d, %d) = %d, reference %d", i, j, got, wantCount)
+				t.Fatalf("%s: InteractionCount(%d, %d) = %d, reference %d", build, i, j, got, wantCount)
 			}
 			pair := got.Pair(i, j)
 			cur := pair.Decay(beta)
@@ -381,17 +456,25 @@ func checkBuildAgainstReference(t *testing.T, data []byte) {
 
 // TestBuildMatchesReference is the differential property test of the CSR
 // build: on random corpora covering time ties, IncludeSelf, DisableLCA, the
-// MaxTreePairs stride, non-finite polarities, pairless users and pair
-// budgets, every public query equals the per-pair-append reference bit for
-// bit.
+// MaxTreePairs stride, non-finite polarities, pairless users and read sets,
+// every public query equals the per-pair-append reference bit for bit. The
+// corpora must include filtered-out cross-path pairs counted before kept
+// ones under a stride.
 func TestBuildMatchesReference(t *testing.T) {
 	r := rng.New(20261017)
+	covered := 0
 	for trial := 0; trial < 300; trial++ {
 		data := make([]byte, 3+4*(1+r.Intn(64)))
 		for k := range data {
 			data[k] = byte(r.Intn(256))
 		}
-		checkBuildAgainstReference(t, data)
+		if checkBuildAgainstReference(t, data) {
+			covered++
+		}
+	}
+	t.Logf("%d of 300 cases count a filtered-out cross-path pair before a kept one", covered)
+	if covered == 0 {
+		t.Fatal("the corpora stopped covering a filtered-out pair counted before a kept one")
 	}
 }
 
@@ -401,6 +484,12 @@ func FuzzConformityBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 2, 0, 7, 1, 0, 100, 0, 2, 5, 200, 9, 3, 9, 255, 0, 4, 4, 254, 3, 0, 13, 253, 0})
 	f.Add([]byte{2, 0, 3 | 4<<2, 0, 0, 0, 10, 0, 1, 1, 250, 0, 0, 1, 20, 3, 1, 5, 30, 0, 0, 9, 40, 0, 1, 13, 60, 15})
+	// A read set under a small MaxTreePairs stride, where counting only
+	// the kept cross-path pairs would change the subsample.
+	f.Add([]byte{0x63, 0xcd, 0xc, 0xd4, 0x85, 0xdb, 0xd3, 0x78, 0xfb, 0x75, 0xbc, 0x2e, 0x40, 0x3f, 0x7e, 0x5a, 0x59, 0xca, 0xb1})
+	// A receiver with a kept source and an offspring of a filtered-out
+	// source, which ℕᵢ must still count.
+	f.Add([]byte{0x9a, 0x70, 0xe0, 0xf1, 0x2e, 0x9c, 0x9e, 0x43, 0x50, 0x92, 0xa4, 0x64, 0x55, 0x5b, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkBuildAgainstReference(t, data)
 	})

@@ -25,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"chassis/internal/branching"
 	"chassis/internal/conformity"
@@ -32,6 +33,7 @@ import (
 	"chassis/internal/hawkes"
 	"chassis/internal/kernel"
 	"chassis/internal/obs"
+	"chassis/internal/parallel"
 	"chassis/internal/timeline"
 )
 
@@ -351,6 +353,10 @@ type Model struct {
 	// sources[i] lists the user ids that can excite dimension i (the
 	// sparse pair support the M-step optimizes over).
 	sources [][]int
+	// reads[i] is the read set of dimension i (readSet): every user j whose
+	// conformity pair (i, j) the model can query. Every conformity build
+	// keeps only these pairs, and the kernel pass walks them.
+	reads [][]int
 }
 
 // dense allocates an M×M zero matrix.
@@ -409,6 +415,36 @@ func (m *Model) excites(i, j int) bool {
 	}
 	return m.Variant.UseInformational && m.GammaI[i][j] != 0 ||
 		m.Variant.UseNormative && m.GammaN[i][j] != 0
+}
+
+// readSet returns, per receiver i, the ascending ids j whose conformity pair
+// (i, j) the model can query: j in m.sources[i], whose pair handles the
+// M-step resolves, or m.excites(i, j), where excitation.Alpha queries the
+// computer (behind γ ≠ 0) and the kernel pass walks. The M-step writes only
+// the source entries, so the set stays valid until the sources change. It
+// scans all M² pairs once, over the worker pool; the error only reports a
+// worker panic.
+func (m *Model) readSet() ([][]int, error) {
+	out := make([][]int, m.M)
+	err := parallel.Do(m.cfg.Workers, m.M, func(i int) error {
+		var row []int
+		if i < len(m.sources) {
+			row = slices.Clone(m.sources[i])
+		}
+		n := len(row)
+		for j := 0; j < m.M; j++ {
+			if m.excites(i, j) && !slices.Contains(row[:n], j) {
+				row = append(row, j)
+			}
+		}
+		slices.Sort(row)
+		out[i] = slices.Compact(row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SetWorkers retunes the parallelism of subsequent operations on the model
@@ -513,7 +549,7 @@ func (m *Model) InferForest(seq *timeline.Sequence) (*branching.Forest, error) {
 		return nil, err
 	}
 	for pass := 0; pass < 2; pass++ {
-		conf, err := src.conformity(f, m.cfg.Conformity)
+		conf, err := src.conformity(f, m.cfg.Conformity, m.reads)
 		if err != nil {
 			return nil, err
 		}

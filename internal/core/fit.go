@@ -256,6 +256,11 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 		}
 	}
 
+	// The sources are final (fresh or resumed), so the read set is too.
+	if m.reads, err = m.readSet(); err != nil {
+		return nil, err
+	}
+
 	// Alternation schedule: conformity (and the diffusion trees beneath it)
 	// is a *slow* variable — refreshing it every iteration couples two
 	// stochastic fixed-point updates and oscillates. Instead the trees and
@@ -278,7 +283,7 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 		conf = nil
 		start := time.Now()
 		var err error
-		conf, err = src.conformity(forest, cfg.Conformity)
+		conf, err = src.conformity(forest, cfg.Conformity, m.reads)
 		metrics.Timer("core.conformity").Add(time.Since(start))
 		return err
 	}
@@ -792,7 +797,7 @@ func (m *Model) HeldOutLogLikelihood(test *timeline.Sequence) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		conf, err = conformity.New(combined, forest, m.cfg.Conformity)
+		conf, err = conformity.NewOn(combined, forest, m.cfg.Conformity, m.reads)
 		if err != nil {
 			return 0, err
 		}

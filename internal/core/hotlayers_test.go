@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -333,6 +334,9 @@ func refCase(v Variant, users int, horizon, support float64, data, rows []byte) 
 				m.Beta[i][j] = 0.05 + float64(rows[(p+1)%len(rows)])/600
 			}
 		}
+	}
+	if m.reads, err = m.readSet(); err != nil {
+		panic(err)
 	}
 	if v.ConformityAware {
 		forest, err := branching.FromSequence(seq)
@@ -749,16 +753,7 @@ func FuzzKernelPass(f *testing.F) {
 // the sources are a strict subset of each row.
 func TestHPAlphaStaysOnSources(t *testing.T) {
 	forceSmallChunks(t, 48)
-	d, err := cascade.Generate(cascade.Config{
-		Name: "wide", M: 40, Horizon: 600, Seed: 5,
-		Graph: cascade.BarabasiAlbert, GraphDegree: 3, Reciprocity: 0.5,
-		Topics: 2, BaseRateLo: 0.01, BaseRateHi: 0.03,
-		KernelRate: 0.8, TargetBranching: 0.55,
-		ConformityWeight: 0.7, PolarityNoise: 0.15, LikeFraction: 0.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := wideDataset(t)
 	cfg := quickCfg(VariantLHP)
 	mem, err := Fit(d.Seq, cfg)
 	if err != nil {
@@ -794,5 +789,114 @@ func TestHPAlphaStaysOnSources(t *testing.T) {
 		if nonzero == 0 || outside == 0 {
 			t.Fatalf("%s: vacuous check (%d nonzero α, %d rows with users outside their sources)", name, nonzero, outside)
 		}
+	}
+}
+
+// wideDataset is a corpus with more users than MaxSourcesPerDim + 1, so the
+// sources are a strict subset of each row.
+func wideDataset(t *testing.T) *cascade.Dataset {
+	t.Helper()
+	d, err := cascade.Generate(cascade.Config{
+		Name: "wide", M: 40, Horizon: 600, Seed: 5,
+		Graph: cascade.BarabasiAlbert, GraphDegree: 3, Reciprocity: 0.5,
+		Topics: 2, BaseRateLo: 0.01, BaseRateHi: 0.03,
+		KernelRate: 0.8, TargetBranching: 0.55,
+		ConformityWeight: 0.7, PolarityNoise: 0.15, LikeFraction: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestConformityReadSet: a model's conformity snapshot keeps only its read
+// set and answers every query the model makes as a build of every pair
+// does. For the six conformity-aware variants, fitted in memory and sharded
+// with inferred trees (where CHASSIS-L leaves γ entries outside the
+// sources) and in memory with observed trees, and for a saved and loaded
+// model and its incremental refit: the read set holds every source and
+// every user the row excites, and excitation.Alpha reads the same bits from
+// m.Conf as from an all-pairs build on m.Forest, for every pair at every
+// event time.
+func TestConformityReadSet(t *testing.T) {
+	forceSmallChunks(t, 48)
+	d := wideDataset(t)
+	corpus := writeCorpusFile(t, d.Seq, 57)
+	var stale, filtered int
+	check := func(name string, m *Model) {
+		t.Helper()
+		for i := 0; i < m.M; i++ {
+			for j := 0; j < m.M; j++ {
+				src, exc := slices.Contains(m.sources[i], j), m.excites(i, j)
+				if _, in := slices.BinarySearch(m.reads[i], j); (src || exc) && !in {
+					t.Fatalf("%s: user %d (source %v, excites %v) missing from read set %v of receiver %d", name, j, src, exc, m.reads[i], i)
+				}
+				if exc && !src {
+					stale++
+				}
+			}
+		}
+		full, err := conformity.New(d.Seq, m.Forest, m.cfg.Conformity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Conf.ActivePairs()) < len(full.ActivePairs()) {
+			filtered++
+		}
+		got, want := excitation{m: m, conf: m.Conf}, excitation{m: m, conf: full}
+		for i := 0; i < m.M; i++ {
+			for j := 0; j < m.M; j++ {
+				for _, a := range d.Seq.Activities {
+					if g, w := got.Alpha(i, j, a.Time), want.Alpha(i, j, a.Time); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s: Alpha(%d, %d, %g) = %v, all-pairs build %v", name, i, j, a.Time, g, w)
+					}
+				}
+			}
+		}
+	}
+	var saved *Model
+	for _, v := range []Variant{VariantL, VariantLI, VariantLN, VariantE, VariantEI, VariantEN} {
+		cfg := quickCfg(v)
+		mem, err := Fit(d.Seq, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(v.Name()+" in memory", mem)
+		c := cfg
+		c.ShardEvents = 130
+		c.Workers = 2
+		sh, err := FitSharded(context.Background(), openCorpus(t, corpus), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(v.Name()+" sharded", sh)
+		c = cfg
+		c.UseObservedTrees = true
+		obs, err := Fit(d.Seq, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(v.Name()+" observed trees", obs)
+		if v == VariantL {
+			saved = mem
+		}
+	}
+	var buf bytes.Buffer
+	if err := saved.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&buf, d.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loaded CHASSIS-L", loaded)
+	refit, err := loaded.RefitIncremental(context.Background(), d.Seq, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("refitted CHASSIS-L", refit)
+	t.Logf("%d excited pairs outside the sources; %d of 20 snapshots smaller than the all-pairs build", stale, filtered)
+	if stale == 0 || filtered == 0 {
+		t.Fatalf("vacuous check: %d excited pairs outside the sources, %d snapshots smaller than the all-pairs build", stale, filtered)
 	}
 }

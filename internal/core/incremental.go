@@ -128,7 +128,7 @@ func (m *Model) RefitIncremental(ctx context.Context, seq *timeline.Sequence, pa
 	out.cfg.MStepIters = passes
 	var conf *conformity.Computer
 	if m.Variant.ConformityAware {
-		conf, err = conformity.New(work, forest, out.cfg.Conformity)
+		conf, err = conformity.NewOn(work, forest, out.cfg.Conformity, out.reads)
 		if err != nil {
 			return nil, fmt.Errorf("core: refit conformity: %w", err)
 		}
@@ -159,7 +159,7 @@ func (m *Model) cloneForRefit() *Model {
 		cfg:        m.cfg, link: m.link,
 		estepCalls: m.estepCalls, stepScale: m.stepScale,
 		muLo: m.muLo, muHi: m.muHi,
-		sources: m.sources,
+		sources: m.sources, reads: m.reads,
 	}
 	return out
 }

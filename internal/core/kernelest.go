@@ -39,10 +39,11 @@ import (
 // core alike. Once per pass it computes every event's phase step; receiver i
 // then bins only its own events (the columns' by-user index) and walks, in
 // global order (eventCols.merge), only the events of users its row excites
-// (the only events where excitation.Alpha can be nonzero). dft.AddTrain
-// adds the train's transform, each bin receiving the events in event order,
-// so every float is the one a one-event-per-sweep pass over all events
-// computes (DESIGN.md §7, "Fit hot layers").
+// (the only events where excitation.Alpha can be nonzero), found among its
+// read set (m.reads[i]). dft.AddTrain adds the train's transform, each bin
+// receiving the events in event order, so every float is the one a
+// one-event-per-sweep pass over all events computes (DESIGN.md §7, "Fit hot
+// layers").
 func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *conformity.Computer) error {
 	const fftBins = 256
 	const tikhonov = 1e-3
@@ -83,9 +84,10 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 		lam := dft.ForwardReal(counts)
 
 		// Excitation train of dimension i in bin units, over the events
-		// of the users row i excites, in global order.
+		// of the users row i excites, in global order. Each of them is in
+		// i's ascending read set.
 		var excited []int
-		for j := 0; j < m.M; j++ {
+		for _, j := range m.reads[i] {
 			if m.excites(i, j) {
 				excited = append(excited, j)
 			}

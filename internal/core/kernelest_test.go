@@ -60,6 +60,9 @@ func TestUpdateKernelsRecoversDecayShape(t *testing.T) {
 	}
 	fk.Normalize()
 	m.Kernels[0], m.Kernels[1] = fk, fk
+	if m.reads, err = m.readSet(); err != nil {
+		t.Fatal(err)
+	}
 
 	m.updateKernels(nil, seqColumns(seq), nil)
 
@@ -100,6 +103,10 @@ func TestUpdateKernelsDegenerateInputsAreSafe(t *testing.T) {
 		GammaI: dense(1), GammaN: dense(1), Beta: dense(1), Alpha: dense(1),
 		Kernels: []kernel.Kernel{sampled},
 		cfg:     cfg, link: link, seq: seq,
+	}
+	var err error
+	if m.reads, err = m.readSet(); err != nil {
+		t.Fatal(err)
 	}
 	before := m.Kernels[0]
 	m.updateKernels(nil, seqColumns(seq), nil) // 2 events: below the signal threshold

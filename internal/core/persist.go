@@ -227,9 +227,12 @@ func LoadModel(r io.Reader, train *timeline.Sequence) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	if m.reads, err = m.readSet(); err != nil {
+		return nil, err
+	}
 	if m.Variant.ConformityAware {
 		work := train.StripParents()
-		m.Conf, err = conformity.New(work, m.Forest, m.cfg.Conformity)
+		m.Conf, err = conformity.NewOn(work, m.Forest, m.cfg.Conformity, m.reads)
 		if err != nil {
 			return nil, err
 		}

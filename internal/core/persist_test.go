@@ -153,6 +153,15 @@ func TestModelGoldenV1(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), blob) {
 		t.Error("load→save no longer reproduces the v1 fixture byte-for-byte")
 	}
+	// Files written while the conformity options had MaxActivePairs (the
+	// pair budget, since removed) still load.
+	legacy := bytes.Replace(blob, []byte(`"MaxTreePairs":0,`), []byte(`"MaxTreePairs":0,"MaxActivePairs":0,`), 1)
+	if bytes.Equal(legacy, blob) {
+		t.Fatal("could not insert the removed key into the fixture")
+	}
+	if _, err := LoadModel(bytes.NewReader(legacy), d.Seq); err != nil {
+		t.Errorf("a file with the removed MaxActivePairs key no longer loads: %v", err)
+	}
 	// The fixture's parameters still drive a likelihood evaluation.
 	if ll, err := m.TrainLogLikelihood(); err != nil || math.IsNaN(ll) {
 		t.Errorf("fixture model unusable: ll=%v err=%v", ll, err)

@@ -145,9 +145,10 @@ func (s *shardSource) forEachWindow(support float64, fn func(win []timeline.Acti
 // into the conformity accumulator — pass 1 of the two-pass refresh
 // (DESIGN.md §16). The polarity column is never resident in the source; only
 // the accumulator's transient copy and the finalized computer's pair series
-// live across the scan. Finalize feeds the column-built path conformity.New
-// uses, so the snapshot is bit-identical to the in-memory source's.
-func (s *shardSource) conformity(f *branching.Forest, opts conformity.Options) (*conformity.Computer, error) {
+// live across the scan. FinalizeOn feeds the column-built path
+// conformity.NewOn uses, so the snapshot is bit-identical to the in-memory
+// source's.
+func (s *shardSource) conformity(f *branching.Forest, opts conformity.Options, reads [][]int) (*conformity.Computer, error) {
 	acc := conformity.NewAccumulator(s.cols.m, opts)
 	var appendErr error
 	if err := s.rd.ScanPolar(0, s.rd.NumEvents(), func(g int, t float64, user int, pol float64) {
@@ -160,7 +161,7 @@ func (s *shardSource) conformity(f *branching.Forest, opts conformity.Options) (
 	if appendErr != nil {
 		return nil, appendErr
 	}
-	return acc.Finalize(f)
+	return acc.FinalizeOn(f, reads)
 }
 
 func (s *shardSource) dataHash() string { return s.rd.Fingerprint() }
@@ -186,11 +187,8 @@ func (s *shardSource) sequence() *timeline.Sequence { return nil }
 // through the same column-built path conformity.New uses — the snapshot, and
 // with it every fitted parameter, matches the in-memory fit bit for bit. The
 // transient scan state is O(events)·20 bytes plus the retained per-pair
-// series; Config.Conformity.MaxActivePairs bounds the latter. Each build
-// counts its distinct (receiver, source) pairs before it allocates any
-// series column, and fails with *conformity.PairBudgetError exactly when
-// that count exceeds the budget, instead of exhausting memory on
-// adversarially dense corpora.
+// series, which cover only the model's read set: each receiver's sources and
+// the users its row excites, at most 2·MaxSourcesPerDim pairs per receiver.
 //
 // Cancellation, checkpointing, resume, observers and metrics work as in
 // FitContext, with the corpus identified by the colstore footer fingerprint

@@ -10,7 +10,6 @@ import (
 
 	"chassis/internal/checkpoint"
 	"chassis/internal/colstore"
-	"chassis/internal/conformity"
 	"chassis/internal/faultinject"
 	"chassis/internal/guard"
 	"chassis/internal/kernel"
@@ -341,25 +340,6 @@ func TestShardedConformityFlavors(t *testing.T) {
 				t.Errorf("sharded fingerprint %s, in-memory %s", got, want)
 			}
 		})
-	}
-}
-
-// TestShardedConformityPairBudget: the streaming rebuild honours the
-// active-pair budget, surfacing *conformity.PairBudgetError instead of
-// growing the pair map without bound.
-func TestShardedConformityPairBudget(t *testing.T) {
-	d := smallDataset(t, 50)
-	rd := openCorpus(t, writeCorpusFile(t, d.Seq, 500))
-	cfg := quickCfg(VariantL)
-	cfg.FixedKernel = true
-	cfg.Conformity.MaxActivePairs = 1
-	_, err := FitSharded(context.Background(), rd, cfg)
-	var pb *conformity.PairBudgetError
-	if !errors.As(err, &pb) {
-		t.Fatalf("got %v, want *conformity.PairBudgetError", err)
-	}
-	if pb.Budget != 1 {
-		t.Fatalf("budget in error = %d, want 1", pb.Budget)
 	}
 }
 

@@ -25,8 +25,9 @@ type eventSource interface {
 	// global estepChunkSize grid the window covers. A window starts at least
 	// support before its first chunk, the invariant windowStartIn needs.
 	forEachWindow(support float64, fn func(win []timeline.Activity, off int, chunks []parallel.Range) error) error
-	// conformity builds the conformity snapshot of the events under f.
-	conformity(f *branching.Forest, opts conformity.Options) (*conformity.Computer, error)
+	// conformity builds the conformity snapshot of the events under f,
+	// keeping the pairs of the read set reads (every pair when nil).
+	conformity(f *branching.Forest, opts conformity.Options, reads [][]int) (*conformity.Computer, error)
 	// dataHash names the data for checkpoint identity. The prefixes of the
 	// two sources differ ("fnv64a:" vs "colstore:"), so a checkpoint is
 	// never resumed against the other representation.
@@ -143,8 +144,8 @@ func (s *seqSource) forEachWindow(_ float64, fn func(win []timeline.Activity, of
 	return fn(s.seq.Activities, 0, parallel.Chunks(s.seq.Len(), estepChunkSize))
 }
 
-func (s *seqSource) conformity(f *branching.Forest, opts conformity.Options) (*conformity.Computer, error) {
-	return conformity.New(s.seq, f, opts)
+func (s *seqSource) conformity(f *branching.Forest, opts conformity.Options, reads [][]int) (*conformity.Computer, error) {
+	return conformity.NewOn(s.seq, f, opts, reads)
 }
 
 func (s *seqSource) dataHash() string { return sequenceFingerprint(s.raw) }
