@@ -67,11 +67,12 @@ type scaleBenchReport struct {
 }
 
 // The corpus: the paper-scale preset's event count and temporal density,
-// with users shrunk 50x (and per-user rates raised 50x to compensate) so
-// the dense M x M excitation matrices of the L-HP fit stay tens of
-// megabytes — the study isolates the cost of the corpus representation,
-// which scales with events, from the cost of the parameters, which scales
-// with users squared and is identical between the two drivers anyway.
+// with users shrunk 50x (and per-user rates raised 50x to compensate). The
+// shrink dates from when the parameters were dense M x M matrices; they are
+// now packed rows of at most 2·MaxSourcesPerDim entries per receiver, so an
+// unshrunk corpus would fit too, but moving to it changes the recorded
+// study. The study isolates the cost of the corpus representation, which
+// scales with events; the parameters are identical between the two drivers.
 const scaleBenchUsers = 2000
 
 func scaleBenchConfig() cascade.Config {
@@ -171,8 +172,8 @@ func measureScaleBench(t *testing.T) scaleBenchReport {
 	}
 
 	// The four fits run in ascending order of their true peaks — L-HP
-	// sharded (~0.25 GiB), L-HP in-memory (~0.6 GiB), conformity sharded
-	// (~1.0 GiB), conformity in-memory (~1.5 GiB) — because
+	// sharded (~0.17 GiB), L-HP in-memory (~0.37 GiB), conformity sharded
+	// (~0.57 GiB), conformity in-memory (~0.70 GiB) — because
 	// obs.PeakRSSBytes is a process-lifetime high-water mark: a reading is
 	// that fit's own peak only if the fit climbed above everything before
 	// it, which requirePeakAbove asserts.
@@ -249,8 +250,7 @@ func measureScaleBench(t *testing.T) scaleBenchReport {
 		ConfShardedPeakRSS:    confShardedPeak,
 		ConfInMemPeakRSS:      confInmemPeak,
 		ConfShardedToInMemRSS: float64(confShardedPeak) / float64(confInmemPeak),
-		Note: "590k-event paper-density corpus (users shrunk 50x, rates raised 50x so the dense " +
-			"M x M parameters stay small); the four fits run in ascending true-peak order " +
+		Note: "590k-event paper-density corpus (users shrunk 50x, rates raised 50x); the four fits run in ascending true-peak order " +
 			"(L-HP sharded, L-HP in-memory, CHASSIS-L sharded, CHASSIS-L in-memory) so each " +
 			"process-high-water-mark reading is that fit's own peak; the guarded numbers are the " +
 			"peak-RSS ratios and the model fingerprints, throughput figures are machine-specific context",

@@ -310,12 +310,11 @@ func runSharded(sess *cliobs.Session, f fitFlags) error {
 		summary := &dataio.ModelSummary{
 			Strategy: f.strategy, Dataset: rd.Meta().Name, M: rd.M(),
 			Mu: m.Mu, Iterations: m.Iterations,
-		}
-		if !variant.ConformityAware {
-			// The effective influence of a conformity variant averages time-
-			// varying excitation over the training events — an in-memory
-			// quantity; -savefull keeps the full parameters either way.
-			summary.Influence = m.Alpha
+			// The effective influence of a conformity variant averages
+			// time-varying excitation over the training events, an
+			// in-memory quantity, so a sharded fit has it only for the HP
+			// baselines; -savefull keeps the full parameters either way.
+			Influence: m.EstimatedInfluence(),
 		}
 		if err := dataio.SaveModel(f.out, summary); err != nil {
 			return err

@@ -22,8 +22,9 @@ import (
 )
 
 // Version is the current checkpoint format version. Load rejects files from
-// a future version with a *VersionError instead of misreading them.
-const Version = 1
+// a future version with a *VersionError instead of misreading them; a
+// producer decides whether it can still read an older one.
+const Version = 2
 
 // Envelope is the on-disk frame around a producer's payload.
 type Envelope struct {
@@ -64,7 +65,8 @@ func (e *VersionError) Error() string {
 // to a different run: wrong kind, different training data, or an
 // incompatible configuration.
 type MismatchError struct {
-	// Field names what disagreed: "kind", "data", or "config".
+	// Field names what disagreed: "kind", "data", "config", or "version"
+	// (an older format the producer no longer resumes).
 	Field string
 	// Detail is a human-readable account of the disagreement.
 	Detail string

@@ -193,6 +193,12 @@ func (b *builder) collectNormative(events []int32) error {
 	// anc[a] == e2+1 marks a as a proper ancestor of the later activity e2
 	// being enumerated: one walk up per e2 answers every IsAncestor(e1, e2).
 	anc := make([]int32, len(b.times))
+	// With a read set, mark[j] == e2+1 marks j in the row of e2's receiver:
+	// one pass over the row per e2 answers every keeps(receiver, j).
+	var mark []int32
+	if b.reads != nil {
+		mark = make([]int32, b.m)
+	}
 	for id := 0; id < f.NumTrees(); id++ {
 		nodes := members[treeOff[id]:treeOff[id+1]]
 		n := len(nodes)
@@ -208,6 +214,17 @@ func (b *builder) collectNormative(events []int32) error {
 		for bi := 1; bi < n; bi++ {
 			e2 := int(nodes[bi])
 			stamp := int32(e2) + 1
+			if mark != nil {
+				row := b.reads[b.users[e2]]
+				if len(row) == 0 && stride == 1 {
+					// No pair of e2's receiver is kept, and under the cap
+					// nothing counts the cross-path pairs.
+					continue
+				}
+				for _, j := range row {
+					mark[j] = stamp
+				}
+			}
 			for a := f.Parent(e2); a >= 0; a = f.Parent(int(a)) {
 				anc[a] = stamp
 			}
@@ -235,7 +252,7 @@ func (b *builder) collectNormative(events []int32) error {
 						continue
 					}
 				}
-				if !b.keeps(b.users[e2], b.users[e1]) {
+				if mark != nil && mark[b.users[e1]] != stamp {
 					continue
 				}
 				nc := normContribution{e1: int32(e1), e2: int32(e2), lca: -1}

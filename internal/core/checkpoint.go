@@ -36,13 +36,12 @@ func CheckpointPath(dir string) string {
 // The RNG needs no raw state — every stream is derived from (Config.Seed,
 // EStepCalls), so the counter alone pins all future draws.
 type fitState struct {
-	Mu         []float64   `json:"mu"`
-	GammaI     [][]float64 `json:"gamma_i,omitempty"`
-	GammaN     [][]float64 `json:"gamma_n,omitempty"`
-	Beta       [][]float64 `json:"beta,omitempty"`
-	Alpha      [][]float64 `json:"alpha,omitempty"`
-	KernelStep []float64   `json:"kernel_step"`
-	KernelVals [][]float64 `json:"kernel_values"`
+	Mu []float64 `json:"mu"`
+	// Sources and Rows are the parameter rows in the model file's form.
+	Sources    [][]int        `json:"sources"`
+	Rows       []paramRowJSON `json:"rows"`
+	KernelStep []float64      `json:"kernel_step"`
+	KernelVals [][]float64    `json:"kernel_values"`
 	// KernelCum carries each discrete kernel's cumulative-integral table
 	// verbatim. Normalize rescales that table in place, so recomputing it
 	// from the (scaled) values on load would differ in the last ulp — and
@@ -50,7 +49,6 @@ type fitState struct {
 	KernelCum [][]float64 `json:"kernel_cum,omitempty"`
 	// Parents is the current forest (the E-step's latest assignment).
 	Parents []int     `json:"parents"`
-	Sources [][]int   `json:"sources"`
 	MuLo    []float64 `json:"mu_lo,omitempty"`
 	MuHi    []float64 `json:"mu_hi,omitempty"`
 	// EStepCalls pins the E-step RNG streams (Split(211+calls)).
@@ -147,10 +145,9 @@ func newCheckpointer(cfg Config, dataHash string) (*checkpointer, error) {
 // stages the bytes; write/flush decide when they hit disk.
 func (c *checkpointer) capture(m *Model, forest *branching.Forest, iter int, lastLL float64, hasLL bool) error {
 	st := fitState{
-		Mu:     append([]float64(nil), m.Mu...),
-		GammaI: m.GammaI, GammaN: m.GammaN, Beta: m.Beta, Alpha: m.Alpha,
+		Mu:      append([]float64(nil), m.Mu...),
+		Sources: m.params.sourceLists(), Rows: m.params.wire(),
 		Parents: parentInts(forest),
-		Sources: m.sources,
 		MuLo:    m.muLo, MuHi: m.muHi,
 		EStepCalls:    m.estepCalls,
 		History:       m.History,
@@ -222,6 +219,12 @@ func (m *Model) loadFitState(c *checkpointer) (forest *branching.Forest, iter in
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
+	if env.Version < checkpoint.Version {
+		// Version 1 held dense M×M parameter matrices and a config with the
+		// since-removed KernelBins; a fit restarts rather than convert them.
+		return nil, 0, 0, false, &checkpoint.MismatchError{Field: "version",
+			Detail: fmt.Sprintf("checkpoint format version %d predates version %d", env.Version, checkpoint.Version)}
+	}
 	if env.DataHash != c.dataHash {
 		return nil, 0, 0, false, &checkpoint.MismatchError{Field: "data",
 			Detail: fmt.Sprintf("checkpoint was written for data %s, resuming with %s", env.DataHash, c.dataHash)}
@@ -239,17 +242,8 @@ func (m *Model) loadFitState(c *checkpointer) (forest *branching.Forest, iter in
 			Detail: fmt.Sprintf("checkpoint holds %d dimensions, sequence has %d", len(st.Mu), m.M)}
 	}
 	m.Mu = st.Mu
-	if st.GammaI != nil {
-		m.GammaI = st.GammaI
-	}
-	if st.GammaN != nil {
-		m.GammaN = st.GammaN
-	}
-	if st.Beta != nil {
-		m.Beta = st.Beta
-	}
-	if st.Alpha != nil {
-		m.Alpha = st.Alpha
+	if m.params, err = paramsFromWire(m.layout(), m.M, st.Sources, st.Rows); err != nil {
+		return nil, 0, 0, false, err
 	}
 	m.Kernels, err = restoreKernelsExact(st.KernelStep, st.KernelVals, st.KernelCum)
 	if err != nil {
@@ -269,7 +263,6 @@ func (m *Model) loadFitState(c *checkpointer) (forest *branching.Forest, iter in
 			m.Kernels[i] = ek
 		}
 	}
-	m.sources = st.Sources
 	m.muLo, m.muHi = st.MuLo, st.MuHi
 	m.estepCalls = st.EStepCalls
 	m.History = st.History

@@ -25,7 +25,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"chassis/internal/branching"
 	"chassis/internal/conformity"
@@ -33,7 +32,6 @@ import (
 	"chassis/internal/hawkes"
 	"chassis/internal/kernel"
 	"chassis/internal/obs"
-	"chassis/internal/parallel"
 	"chassis/internal/timeline"
 )
 
@@ -137,8 +135,6 @@ type Config struct {
 	EMIters int
 	// MStepIters caps gradient steps per dimension per M-step (default 25).
 	MStepIters int
-	// KernelBins is the nonparametric kernel grid size (default 24).
-	KernelBins int
 	// KernelSupport is the triggering-kernel horizon; 0 auto-selects
 	// Horizon/20.
 	KernelSupport float64
@@ -272,9 +268,6 @@ func (c *Config) fill() error {
 	if c.MStepIters <= 0 {
 		c.MStepIters = 25
 	}
-	if c.KernelBins <= 0 {
-		c.KernelBins = 24
-	}
 	if c.IntegrationGrid <= 0 {
 		c.IntegrationGrid = 192
 	}
@@ -311,13 +304,6 @@ type Model struct {
 
 	// Mu is the exogenous intensity per dimension.
 	Mu []float64
-	// GammaI, GammaN, Beta are the conformity parameters (dense M×M;
-	// zero off the active-pair support). Only meaningful when
-	// Variant.ConformityAware.
-	GammaI, GammaN, Beta [][]float64
-	// Alpha is the free excitation matrix of the HP baselines (and the
-	// snapshot excitation ÂᵢⱼT() exports for conformity variants).
-	Alpha [][]float64
 	// Kernels holds the per-receiver triggering kernels.
 	Kernels []kernel.Kernel
 	// Forest is the final inferred branching structure of the training
@@ -350,22 +336,15 @@ type Model struct {
 	// collapse). Pinning μ to a band around the pilot's estimate forces
 	// the optimizer to explain the residual through γᴵ/γᴺ.
 	muLo, muHi []float64
-	// sources[i] lists the user ids that can excite dimension i (the
-	// sparse pair support the M-step optimizes over).
-	sources [][]int
-	// reads[i] is the read set of dimension i (readSet): every user j whose
-	// conformity pair (i, j) the model can query. Every conformity build
-	// keeps only these pairs, and the kernel pass walks them.
+	// params holds the excitation parameters, one packed row per receiver:
+	// the γᴵ, β, γᴺ of the conformity variants, or the free α of the HP
+	// baselines, on the row's sources (the sparse pair support the M-step
+	// optimizes over) and its tail.
+	params *params
+	// reads[i] is the read set of dimension i (params.readSets): every user
+	// j whose conformity pair (i, j) the model can query. Every conformity
+	// build keeps only these pairs, and the kernel pass walks them.
 	reads [][]int
-}
-
-// dense allocates an M×M zero matrix.
-func dense(m int) [][]float64 {
-	out := make([][]float64, m)
-	for i := range out {
-		out[i] = make([]float64, m)
-	}
-	return out
 }
 
 // excitation adapts the fitted parameters to the hawkes.Excitation
@@ -377,24 +356,30 @@ type excitation struct {
 }
 
 // Alpha implements hawkes.Excitation: Eq. 4.1 for conformity variants, the
-// learned coefficient matrix for HP baselines. Under the linear link,
-// negative conformity (disagreement) clamps to zero excitation rather than
-// inhibition: a single inhibitory pair would otherwise pin λ to the
-// numerical floor at observed events, where the likelihood has value but no
-// gradient — the instability that clamping removes. Nonlinear links keep
-// the signed value (inhibition is well-behaved inside an exponential).
+// learned coefficient for HP baselines; a pair without a row entry has no
+// excitation. Under the linear link, negative conformity (disagreement)
+// clamps to zero excitation rather than inhibition: a single inhibitory pair
+// would otherwise pin λ to the numerical floor at observed events, where the
+// likelihood has value but no gradient — the instability that clamping
+// removes. Nonlinear links keep the signed value (inhibition is well-behaved
+// inside an exponential).
 func (e excitation) Alpha(i, j int, t float64) float64 {
-	if !e.m.Variant.ConformityAware {
-		return e.m.Alpha[i][j]
+	v := e.m.params.find(i, j)
+	if v == nil {
+		return 0
+	}
+	l := e.m.layout()
+	if !l.conformityAware {
+		return v[alphaOff]
 	}
 	var a float64
-	if e.m.Variant.UseInformational {
-		if g := e.m.GammaI[i][j]; g != 0 {
-			a += g * e.conf.Informational(i, j, t, e.m.Beta[i][j])
+	if l.useInformational {
+		if g := v[gammaIOff]; g != 0 {
+			a += g * e.conf.Informational(i, j, t, v[betaOff])
 		}
 	}
-	if e.m.Variant.UseNormative {
-		if g := e.m.GammaN[i][j]; g != 0 {
+	if l.useNormative {
+		if g := v[l.gammaNOff()]; g != 0 {
 			a += g * e.conf.Normative(i, j, t)
 		}
 	}
@@ -404,47 +389,6 @@ func (e excitation) Alpha(i, j int, t float64) float64 {
 		}
 	}
 	return a
-}
-
-// excites reports whether row i's excitation parameters toward j are nonzero
-// under the variant's enabled channels: the only pairs where Alpha can be
-// nonzero, stale entries outside m.sources[i] included.
-func (m *Model) excites(i, j int) bool {
-	if !m.Variant.ConformityAware {
-		return m.Alpha[i][j] != 0
-	}
-	return m.Variant.UseInformational && m.GammaI[i][j] != 0 ||
-		m.Variant.UseNormative && m.GammaN[i][j] != 0
-}
-
-// readSet returns, per receiver i, the ascending ids j whose conformity pair
-// (i, j) the model can query: j in m.sources[i], whose pair handles the
-// M-step resolves, or m.excites(i, j), where excitation.Alpha queries the
-// computer (behind γ ≠ 0) and the kernel pass walks. The M-step writes only
-// the source entries, so the set stays valid until the sources change. It
-// scans all M² pairs once, over the worker pool; the error only reports a
-// worker panic.
-func (m *Model) readSet() ([][]int, error) {
-	out := make([][]int, m.M)
-	err := parallel.Do(m.cfg.Workers, m.M, func(i int) error {
-		var row []int
-		if i < len(m.sources) {
-			row = slices.Clone(m.sources[i])
-		}
-		n := len(row)
-		for j := 0; j < m.M; j++ {
-			if m.excites(i, j) && !slices.Contains(row[:n], j) {
-				row = append(row, j)
-			}
-		}
-		slices.Sort(row)
-		out[i] = slices.Compact(row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SetWorkers retunes the parallelism of subsequent operations on the model
@@ -491,22 +435,26 @@ func (m *Model) processWith(conf *conformity.Computer) *hawkes.Process {
 // Eq. 4.1's αᵢⱼ(t) over the source user's actual activity times, which is
 // exactly the weight the model applied to j's events when exciting i.
 // Conformity variants need the training sequence for those times, so a
-// model without one (a FitSharded fit) returns nil for them.
+// model without one (a FitSharded fit) returns nil for them. The result is a
+// fresh dense M×M matrix.
 func (m *Model) EstimatedInfluence() [][]float64 {
 	if m.Variant.ConformityAware && m.seq == nil {
 		return nil
 	}
-	out := dense(m.M)
-	if !m.Variant.ConformityAware {
-		for i := range out {
-			copy(out[i], m.Alpha[i])
+	out := make([][]float64, m.M)
+	for i := range out {
+		out[i] = make([]float64, m.M)
+		if !m.Variant.ConformityAware {
+			m.params.each(i, func(j int, v []float64) { out[i][j] = v[alphaOff] })
 		}
+	}
+	if !m.Variant.ConformityAware {
 		return out
 	}
 	byUser := m.seq.ByUser()
 	exc := excitation{m: m, conf: m.Conf}
 	for i := 0; i < m.M; i++ {
-		for _, j := range m.sources[i] {
+		for _, j := range m.params.sources(i) {
 			events := byUser[j]
 			if len(events) == 0 {
 				continue

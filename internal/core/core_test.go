@@ -60,7 +60,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // smallDataset generates a compact conformity-aware corpus for fit tests.
-func smallDataset(t *testing.T, seed int64) *cascade.Dataset {
+func smallDataset(t testing.TB, seed int64) *cascade.Dataset {
 	t.Helper()
 	d, err := cascade.Generate(cascade.Config{
 		Name: "unit", M: 12, Horizon: 900, Seed: seed,
@@ -96,9 +96,7 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	link, _ := cfg.Variant.Link()
 	m := &Model{
 		M: d.Seq.M, Variant: cfg.Variant, Horizon: d.Seq.Horizon,
-		Mu:     make([]float64, d.Seq.M),
-		GammaI: dense(d.Seq.M), GammaN: dense(d.Seq.M),
-		Beta: dense(d.Seq.M), Alpha: dense(d.Seq.M),
+		Mu:      make([]float64, d.Seq.M),
 		Kernels: make([]kernel.Kernel, d.Seq.M),
 		cfg:     cfg, link: link, seq: d.Seq,
 	}
@@ -108,11 +106,13 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	for i := range m.Kernels {
 		m.Kernels[i] = sampled
 	}
-	var err error
-	if m.sources, err = cooccurrenceSources(seqColumns(d.Seq), cfg.KernelSupport, 0); err != nil {
+	sources, err := cooccurrenceSources(seqColumns(d.Seq), cfg.KernelSupport, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m.initParams(seqColumns(d.Seq))
+	if err := m.initParams(seqColumns(d.Seq), sources); err != nil {
+		t.Fatal(err)
+	}
 
 	work := d.Seq.StripParents()
 	forest, err := m.bootstrapForest(nil, newSeqSource(work))
@@ -127,7 +127,7 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	dim := -1
 	byUser := work.CountByUser()
 	for i := 0; i < m.M; i++ {
-		if len(m.sources[i]) > 0 && byUser[i] > 2 {
+		if len(m.params.sources(i)) > 0 && byUser[i] > 2 {
 			dim = i
 			break
 		}
@@ -216,11 +216,12 @@ func TestFitHPRecoversExcitationStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Alpha[1][0] < 0.2 {
-		t.Errorf("α[1][0] = %g, want substantially positive", m.Alpha[1][0])
+	alpha := mirrorOf(m).alpha
+	if alpha[1][0] < 0.2 {
+		t.Errorf("α[1][0] = %g, want substantially positive", alpha[1][0])
 	}
-	if m.Alpha[0][1] > m.Alpha[1][0]/2 {
-		t.Errorf("α[0][1] = %g should be well below α[1][0] = %g", m.Alpha[0][1], m.Alpha[1][0])
+	if alpha[0][1] > alpha[1][0]/2 {
+		t.Errorf("α[0][1] = %g should be well below α[1][0] = %g", alpha[0][1], alpha[1][0])
 	}
 }
 

@@ -32,9 +32,10 @@ func forceSmallChunks(t *testing.T, size int) {
 }
 
 func summarize(m *Model) fitSummary {
+	mir := mirrorOf(m)
 	return fitSummary{
-		mu: m.Mu, beta: m.Beta, gammaI: m.GammaI, gammaN: m.GammaN,
-		alpha: m.Alpha, parents: m.Forest.Parents(), history: m.History,
+		mu: m.Mu, beta: mir.beta, gammaI: mir.gammaI, gammaN: mir.gammaN,
+		alpha: mir.alpha, parents: m.Forest.Parents(), history: m.History,
 	}
 }
 

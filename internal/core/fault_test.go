@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"chassis/internal/checkpoint"
@@ -458,4 +460,31 @@ func TestGuardedCleanFitBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSummariesIdentical(t, summarize(plain), summarize(guarded))
+}
+
+// TestResumeRejectsVersion1Checkpoint: a checkpoint written before the
+// parameters moved into rows (format version 1: dense matrices, a config
+// with the since-removed KernelBins) fails the resume with a typed error
+// instead of resuming. The fixture is the completion checkpoint of
+// quickCfg(VariantL) on smallDataset(t, 61).
+func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
+	d := smallDataset(t, 61)
+	blob, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(CheckpointPath(dir), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg(VariantL)
+	cfg.CheckpointDir = dir
+	cfg.Resume = true
+	m, err := Fit(d.Seq, cfg)
+	var mismatch *checkpoint.MismatchError
+	var version *checkpoint.VersionError
+	if m != nil || !errors.As(err, &mismatch) && !errors.As(err, &version) {
+		t.Fatalf("resume from a version-1 checkpoint: model %v, error %v; want a typed checkpoint error", m != nil, err)
+	}
+	t.Logf("resume refused: %v", err)
 }

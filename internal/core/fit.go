@@ -123,19 +123,12 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 		cfg.metrics = metrics
 	}
 
-	// Baseline variants allocate only the excitation matrix: nothing reads a
-	// baseline's conformity parameter matrices, so they stay nil (LoadModel
-	// fills them when it rebuilds a saved model).
 	m := &Model{
 		M: cols.m, Variant: cfg.Variant, Horizon: cols.horizon,
 		Mu:      make([]float64, cols.m),
-		Alpha:   dense(cols.m),
 		Kernels: make([]kernel.Kernel, cols.m),
 		cfg:     cfg, link: link,
 		stepScale: 1,
-	}
-	if cfg.Variant.ConformityAware {
-		m.GammaI, m.GammaN, m.Beta = dense(m.M), dense(m.M), dense(m.M)
 	}
 
 	var ckpt *checkpointer
@@ -174,10 +167,13 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 			return nil, err
 		}
 
-		if m.sources, err = cooccurrenceSources(cols, cfg.KernelSupport, cfg.Workers); err != nil {
+		coocc, err := cooccurrenceSources(cols, cfg.KernelSupport, cfg.Workers)
+		if err != nil {
 			return nil, err
 		}
-		m.initParams(cols)
+		if err := m.initParams(cols, coocc); err != nil {
+			return nil, err
+		}
 
 		_, linear := m.link.(hawkes.LinearLink)
 		// The warm start (L-HP pilot + μ band) exists to bootstrap *tree
@@ -244,8 +240,9 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 		// those are the pairs with interaction history, hence nonzero
 		// conformity. (Co-occurrence ranks fill the remaining slots.)
 		if cfg.Variant.ConformityAware && forest != nil {
-			m.sources = forestSources(cols, forest, m.sources)
-			m.initParams(cols)
+			if err := m.initParams(cols, forestSources(cols, forest, coocc)); err != nil {
+				return nil, err
+			}
 			if m.muLo != nil {
 				// Re-initializing overwrote the pinned μ; restore the band
 				// centers.
@@ -257,9 +254,7 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 	}
 
 	// The sources are final (fresh or resumed), so the read set is too.
-	if m.reads, err = m.readSet(); err != nil {
-		return nil, err
-	}
+	m.reads = m.params.readSets()
 
 	// Alternation schedule: conformity (and the diffusion trees beneath it)
 	// is a *slow* variable — refreshing it every iteration couples two
@@ -566,8 +561,16 @@ func (m *Model) initKernels() error {
 // initParams follows the paper's initialization: μ sampled from U[0, 0.01]
 // (linear link; the exp link uses the log event rate so eᵘ starts at the
 // right scale) and the coefficients {γᴵ, β, γᴺ} — or α for HP baselines —
-// from U[0, 0.1], restricted to the active pair support.
-func (m *Model) initParams(cols *eventCols) {
+// from U[0, 0.1], restricted to the pair support sources. A second call
+// keeps the first call's entries outside the new sources as the rows'
+// tails.
+func (m *Model) initParams(cols *eventCols, sources [][]int) error {
+	l := m.layout()
+	p, err := m.params.resupport(l, m.M, sources)
+	if err != nil {
+		return err
+	}
+	m.params = p
 	r := rng.New(m.cfg.Seed).Split(307)
 	_, linear := m.link.(hawkes.LinearLink)
 	var counts []int
@@ -584,20 +587,23 @@ func (m *Model) initParams(cols *eventCols) {
 			rate := float64(counts[i])/cols.horizon + 1e-4
 			m.Mu[i] = math.Log(rate)
 		}
-		for _, j := range m.sources[i] {
-			if !m.Variant.ConformityAware {
-				m.Alpha[i][j] = r.Uniform(0, 0.1)
+		vals := p.sourceVals(i)
+		for s := range p.sources(i) {
+			v := vals[s*l.perSrc:]
+			if !l.conformityAware {
+				v[alphaOff] = r.Uniform(0, 0.1)
 				continue
 			}
-			if m.Variant.UseInformational {
-				m.GammaI[i][j] = r.Uniform(0, 0.1)
-				m.Beta[i][j] = r.Uniform(0.05, 0.5)
+			if l.useInformational {
+				v[gammaIOff] = r.Uniform(0, 0.1)
+				v[betaOff] = r.Uniform(0.05, 0.5)
 			}
-			if m.Variant.UseNormative {
-				m.GammaN[i][j] = r.Uniform(0, 0.1)
+			if l.useNormative {
+				v[l.gammaNOff()] = r.Uniform(0, 0.1)
 			}
 		}
 	}
+	return nil
 }
 
 // supportHeuristic picks the triggering-kernel horizon from the inter-event

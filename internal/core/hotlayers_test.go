@@ -55,7 +55,7 @@ func (m *Model) refUpdateKernels(ctx context.Context, seq *timeline.Sequence, co
 		if total < 4 {
 			return nil // not enough signal to estimate a kernel for i
 		}
-		lam := dft.ForwardReal(counts)
+		lam := dft.ForwardReal(make([]complex128, fftBins), counts)
 
 		// Excitation train of dimension i in bin units.
 		denom := make([]complex128, fftBins)
@@ -257,8 +257,8 @@ func (m *Model) refAccumGrad(grad []float64, l layout, d *dimData, e int32, scal
 // event records (user, time, polarity, parent): user b0 mod users, time
 // horizon·(b1/255), so 255 is exactly the horizon, polarity (b2−128)/128,
 // and a parent among the earlier events when b3 ≥ 64. The model gets the
-// co-occurrence sources and initParams; rows, when not empty, then
-// overwrites every (i, j) entry of the variant's matrices, cycling over its
+// co-occurrence sources and initParams; rows, when not empty, then sets
+// every (i, j) pair's α, γᴵ, γᴺ and β through setParams, cycling over its
 // bytes: byte 0 is an exact zero, any other b is (b−96)/320, so rows mix
 // zero, negative and positive entries inside and outside the sources. ok is
 // false when the input holds no event or the conformity build rejects it.
@@ -297,9 +297,7 @@ func refCase(v Variant, users int, horizon, support float64, data, rows []byte) 
 	link, _ := cfg.Variant.Link()
 	m = &Model{
 		M: users, Variant: v, Horizon: horizon,
-		Mu:     make([]float64, users),
-		Alpha:  dense(users),
-		GammaI: dense(users), GammaN: dense(users), Beta: dense(users),
+		Mu:      make([]float64, users),
 		Kernels: make([]kernel.Kernel, users),
 		cfg:     cfg, link: link,
 	}
@@ -313,10 +311,14 @@ func refCase(v Variant, users int, horizon, support float64, data, rows []byte) 
 		m.Kernels[i] = sampled
 	}
 	cols := seqColumns(seq)
-	if m.sources, err = cooccurrenceSources(cols, support, 1); err != nil {
+	sources, err := cooccurrenceSources(cols, support, 1)
+	if err != nil {
 		panic(err)
 	}
-	m.initParams(cols)
+	if err := m.initParams(cols, sources); err != nil {
+		panic(err)
+	}
+	m.reads = m.params.readSets()
 	if len(rows) > 0 {
 		val := func(p int) float64 {
 			b := rows[p%len(rows)]
@@ -325,18 +327,10 @@ func refCase(v Variant, users int, horizon, support float64, data, rows []byte) 
 			}
 			return (float64(b) - 96) / 320
 		}
-		for i := 0; i < users; i++ {
-			for j := 0; j < users; j++ {
-				p := 3 * (i*users + j)
-				m.Alpha[i][j] = val(p)
-				m.GammaI[i][j] = val(p + 1)
-				m.GammaN[i][j] = val(p + 2)
-				m.Beta[i][j] = 0.05 + float64(rows[(p+1)%len(rows)])/600
-			}
-		}
-	}
-	if m.reads, err = m.readSet(); err != nil {
-		panic(err)
+		setParams(m, sources, func(i, j int) (alpha, gammaI, gammaN, beta float64) {
+			p := 3 * (i*users + j)
+			return val(p), val(p + 1), val(p + 2), 0.05 + float64(rows[(p+1)%len(rows)])/600
+		})
 	}
 	if v.ConformityAware {
 		forest, err := branching.FromSequence(seq)
@@ -442,7 +436,12 @@ func TestKernelPassMatchesReference(t *testing.T) {
 			t.Fatalf("case %d: corpus rejected", c)
 		}
 		if diagonal {
-			m.sources = nil // as in TestUpdateKernelsRecoversDecayShape
+			// No sources, as in TestUpdateKernelsRecoversDecayShape: every
+			// α is a tail entry.
+			mir := mirrorOf(m)
+			setParams(m, nil, func(i, j int) (alpha, gammaI, gammaN, beta float64) {
+				return mir.alpha[i][j], mir.gammaI[i][j], mir.gammaN[i][j], mir.beta[i][j]
+			})
 			cov.diagonal++
 		}
 		if active < users {
@@ -469,10 +468,8 @@ func TestKernelPassMatchesReference(t *testing.T) {
 				}
 			}
 			in := map[int]bool{}
-			if !diagonal { // m.sources is nil
-				for _, j := range m.sources[i] {
-					in[j] = true
-				}
+			for _, j := range m.params.sources(i) {
+				in[j] = true
 			}
 			contrib := 0
 			for _, a := range seq.Activities {
@@ -524,7 +521,7 @@ func TestObjectiveMatchesReference(t *testing.T) {
 				}
 				cols := seqColumns(seq)
 				for i := 0; i < users; i++ {
-					if len(m.sources[i]) == 0 {
+					if len(m.params.sources(i)) == 0 {
 						continue
 					}
 					d := m.buildDim(cols, conf, i)
@@ -682,7 +679,7 @@ func FuzzObjective(f *testing.F) {
 			t.Skip()
 		}
 		i := int(dim) % m.M
-		if len(m.sources[i]) == 0 {
+		if len(m.params.sources(i)) == 0 {
 			t.Skip()
 		}
 		d := m.buildDim(seqColumns(seq), conf, i)
@@ -768,21 +765,21 @@ func TestHPAlphaStaysOnSources(t *testing.T) {
 	}
 	for name, m := range map[string]*Model{"in-memory": mem, "sharded": sh} {
 		outside, nonzero := 0, 0
-		for i := range m.Alpha {
+		for i, row := range mirrorOf(m).alpha {
 			in := make([]bool, m.M)
-			for _, j := range m.sources[i] {
+			for _, j := range m.params.sources(i) {
 				in[j] = true
 			}
-			for j, a := range m.Alpha[i] {
+			for j, a := range row {
 				if a == 0 {
 					continue
 				}
 				nonzero++
 				if !in[j] {
-					t.Errorf("%s: Alpha[%d][%d] = %v outside the sources %v", name, i, j, a, m.sources[i])
+					t.Errorf("%s: Alpha[%d][%d] = %v outside the sources %v", name, i, j, a, m.params.sources(i))
 				}
 			}
-			if len(m.sources[i]) < m.M-1 {
+			if len(m.params.sources(i)) < m.M-1 {
 				outside++
 			}
 		}
@@ -825,9 +822,10 @@ func TestConformityReadSet(t *testing.T) {
 	var stale, filtered int
 	check := func(name string, m *Model) {
 		t.Helper()
+		mir := mirrorOf(m)
 		for i := 0; i < m.M; i++ {
 			for j := 0; j < m.M; j++ {
-				src, exc := slices.Contains(m.sources[i], j), m.excites(i, j)
+				src, exc := slices.Contains(m.params.sources(i), j), mir.excites(m, i, j)
 				if _, in := slices.BinarySearch(m.reads[i], j); (src || exc) && !in {
 					t.Fatalf("%s: user %d (source %v, excites %v) missing from read set %v of receiver %d", name, j, src, exc, m.reads[i], i)
 				}

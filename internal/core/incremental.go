@@ -151,27 +151,14 @@ func (m *Model) RefitIncremental(ctx context.Context, seq *timeline.Sequence, pa
 func (m *Model) cloneForRefit() *Model {
 	out := &Model{
 		M: m.M, Variant: m.Variant, Horizon: m.Horizon,
-		Mu:     append([]float64(nil), m.Mu...),
-		GammaI: cloneDense(m.GammaI), GammaN: cloneDense(m.GammaN),
-		Beta: cloneDense(m.Beta), Alpha: cloneDense(m.Alpha),
+		Mu:         append([]float64(nil), m.Mu...),
+		params:     m.params.clone(),
 		Kernels:    append([]kernel.Kernel(nil), m.Kernels...),
 		Iterations: m.Iterations,
 		cfg:        m.cfg, link: m.link,
 		estepCalls: m.estepCalls, stepScale: m.stepScale,
 		muLo: m.muLo, muHi: m.muHi,
-		sources: m.sources, reads: m.reads,
-	}
-	return out
-}
-
-// cloneDense deep-copies an M×M matrix (nil stays nil).
-func cloneDense(a [][]float64) [][]float64 {
-	if a == nil {
-		return nil
-	}
-	out := make([][]float64, len(a))
-	for i := range a {
-		out[i] = append([]float64(nil), a[i]...)
+		reads: m.reads,
 	}
 	return out
 }

@@ -138,12 +138,13 @@ func TestRefitIncrementalDeterministicAcrossWorkers(t *testing.T) {
 			ref = got
 			continue
 		}
+		g, r := mirrorOf(got), mirrorOf(ref)
 		for i := 0; i < m.M; i++ {
 			if got.Mu[i] != ref.Mu[i] {
 				t.Fatalf("workers=%d: Mu[%d] = %v != %v", workers, i, got.Mu[i], ref.Mu[i])
 			}
 			for j := 0; j < m.M; j++ {
-				if got.GammaI[i][j] != ref.GammaI[i][j] || got.GammaN[i][j] != ref.GammaN[i][j] || got.Beta[i][j] != ref.Beta[i][j] {
+				if g.gammaI[i][j] != r.gammaI[i][j] || g.gammaN[i][j] != r.gammaN[i][j] || g.beta[i][j] != r.beta[i][j] {
 					t.Fatalf("workers=%d: conformity params diverge at (%d,%d)", workers, i, j)
 				}
 			}
@@ -157,7 +158,7 @@ func TestRefitIncrementalDeterministicAcrossWorkers(t *testing.T) {
 func TestRefitIncrementalLeavesReceiverUntouched(t *testing.T) {
 	m, seq := fitIncrementalFixture(t)
 	muBefore := append([]float64(nil), m.Mu...)
-	giBefore := append([]float64(nil), m.GammaI[0]...)
+	giBefore := mirrorOf(m).gammaI[0]
 	out, err := m.RefitIncremental(context.Background(), seq, nil, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +168,9 @@ func TestRefitIncrementalLeavesReceiverUntouched(t *testing.T) {
 			t.Fatal("refit mutated the receiver's Mu")
 		}
 	}
+	giAfter := mirrorOf(m).gammaI[0]
 	for j := range giBefore {
-		if m.GammaI[0][j] != giBefore[j] {
+		if giAfter[j] != giBefore[j] {
 			t.Fatal("refit mutated the receiver's GammaI")
 		}
 	}

@@ -9,7 +9,11 @@ import (
 	"chassis/internal/dft"
 	"chassis/internal/kernel"
 	"chassis/internal/parallel"
+	"chassis/internal/scratch"
 )
+
+// spectrumPool recycles the kernel pass's per-receiver spectra.
+var spectrumPool scratch.Pool[complex128]
 
 // updateKernels is the nonparametric half of the M-step (Eqs. 7.5–7.8):
 // per receiving dimension i,
@@ -38,12 +42,13 @@ import (
 // The pass reads the flat event columns, so it runs in memory and out of
 // core alike. Once per pass it computes every event's phase step; receiver i
 // then bins only its own events (the columns' by-user index) and walks, in
-// global order (eventCols.merge), only the events of users its row excites
-// (the only events where excitation.Alpha can be nonzero), found among its
-// read set (m.reads[i]). dft.AddTrain adds the train's transform, each bin
-// receiving the events in event order, so every float is the one a
-// one-event-per-sweep pass over all events computes (DESIGN.md §7, "Fit hot
-// layers").
+// global order (eventCols.merge), only the events of the users in its row
+// (m.reads[i], the only users for whom excitation.Alpha can be nonzero; an
+// event where it is not positive adds nothing). dft.AddTrain adds the
+// train's transform, each bin receiving the events in event order, so every
+// float is the one a one-event-per-sweep pass over all events computes
+// (DESIGN.md §7, "Fit hot layers"). Each receiver's buffers come from
+// scratch pools and go back when it is done.
 func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *conformity.Computer) error {
 	const fftBins = 256
 	const tikhonov = 1e-3
@@ -71,9 +76,15 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 		if len(own) < 4 {
 			return nil // not enough signal to estimate a kernel for i
 		}
+		floats := scratch.Floats(fftBins + 2*taps)
+		defer scratch.PutFloats(floats)
+		spectra := spectrumPool.Get(3 * fftBins)
+		defer spectrumPool.Put(spectra)
+		counts, values, blended := floats[:fftBins], floats[fftBins:fftBins+taps], floats[fftBins+taps:]
+		lam, denom, phiF := spectra[:fftBins], spectra[fftBins:2*fftBins], spectra[2*fftBins:]
+
 		// Counting process of dimension i in fftBins slots; an event at
 		// the horizon falls in the last one.
-		counts := make([]float64, fftBins)
 		for _, k := range own {
 			b := int(cols.times[k] / delta)
 			if b >= fftBins {
@@ -81,19 +92,15 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 			}
 			counts[b]++
 		}
-		lam := dft.ForwardReal(counts)
+		dft.ForwardReal(lam, counts)
 
 		// Excitation train of dimension i in bin units, over the events
-		// of the users row i excites, in global order. Each of them is in
-		// i's ascending read set.
-		var excited []int
-		for _, j := range m.reads[i] {
-			if m.excites(i, j) {
-				excited = append(excited, j)
-			}
-		}
-		evs := cols.merge(excited)
-		contrib, ws := evs[:0], make([]float64, 0, len(evs))
+		// of the users in row i, in global order.
+		evs := cols.merge(m.reads[i])
+		defer positions.Put(evs)
+		wbuf := scratch.Floats(len(evs))
+		defer scratch.PutFloats(wbuf)
+		contrib, ws := evs[:0], wbuf[:0]
 		var alphaMass float64
 		for _, k := range evs {
 			alpha := exc.Alpha(i, int(cols.users[k]), cols.times[k])
@@ -108,7 +115,6 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 		if alphaMass <= 0 || fpmu <= 0 {
 			return nil
 		}
-		denom := make([]complex128, fftBins)
 		dft.AddTrain(denom, contrib, ws, steps)
 		// DC correction (Eq. 7.7): remove the expected exogenous count.
 		lam[0] -= complex(m.link.Apply(m.Mu[i])*T, 0)
@@ -124,14 +130,12 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 			return nil
 		}
 		eps := tikhonov * maxD * maxD
-		phiF := make([]complex128, fftBins)
 		for n := range phiF {
 			d := denom[n]
 			phiF[n] = lam[n] * cmplx.Conj(d) / complex(real(d)*real(d)+imag(d)*imag(d)+eps, 0)
 		}
 		phiT := dft.Inverse(phiF)
 
-		values := make([]float64, taps)
 		for k := 0; k < taps; k++ {
 			v := real(phiT[k])
 			if v < 0 || math.IsNaN(v) {
@@ -146,7 +150,6 @@ func (m *Model) updateKernels(ctx context.Context, cols *eventCols, conf *confor
 		est.Normalize()
 
 		// Damped blend with the previous kernel on the same grid.
-		blended := make([]float64, taps)
 		d := m.cfg.KernelDamping
 		for k := 0; k < taps; k++ {
 			t := float64(k) * delta

@@ -43,9 +43,7 @@ func TestUpdateKernelsRecoversDecayShape(t *testing.T) {
 	link, _ := cfg.Variant.Link()
 	m := &Model{
 		M: 2, Variant: cfg.Variant, Horizon: seq.Horizon,
-		Mu:     []float64{0.15, 0.15},
-		GammaI: dense(2), GammaN: dense(2), Beta: dense(2),
-		Alpha:   [][]float64{{0.3, 0.4}, {0.4, 0.3}},
+		Mu:      []float64{0.15, 0.15},
 		Kernels: make([]kernel.Kernel, 2),
 		cfg:     cfg, link: link, seq: seq,
 	}
@@ -60,9 +58,8 @@ func TestUpdateKernelsRecoversDecayShape(t *testing.T) {
 	}
 	fk.Normalize()
 	m.Kernels[0], m.Kernels[1] = fk, fk
-	if m.reads, err = m.readSet(); err != nil {
-		t.Fatal(err)
-	}
+	alpha := [][]float64{{0.3, 0.4}, {0.4, 0.3}}
+	setParams(m, nil, func(i, j int) (float64, float64, float64, float64) { return alpha[i][j], 0, 0, 0 })
 
 	m.updateKernels(nil, seqColumns(seq), nil)
 
@@ -99,15 +96,11 @@ func TestUpdateKernelsDegenerateInputsAreSafe(t *testing.T) {
 	sampled, _ := kernel.Sample(init, 0.2, 26)
 	m := &Model{
 		M: 1, Variant: cfg.Variant, Horizon: 100,
-		Mu:     []float64{0.02},
-		GammaI: dense(1), GammaN: dense(1), Beta: dense(1), Alpha: dense(1),
+		Mu:      []float64{0.02},
 		Kernels: []kernel.Kernel{sampled},
 		cfg:     cfg, link: link, seq: seq,
 	}
-	var err error
-	if m.reads, err = m.readSet(); err != nil {
-		t.Fatal(err)
-	}
+	setParams(m, nil, func(i, j int) (float64, float64, float64, float64) { return 0, 0, 0, 0 })
 	before := m.Kernels[0]
 	m.updateKernels(nil, seqColumns(seq), nil) // 2 events: below the signal threshold
 	if m.Kernels[0] != before {

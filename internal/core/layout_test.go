@@ -17,27 +17,29 @@ func layoutModel(seed int64, v Variant) *Model {
 	k, _ := kernel.NewExponential(1)
 	mod := &Model{
 		M: m, Variant: v, Horizon: 100,
-		Mu:     make([]float64, m),
-		GammaI: dense(m), GammaN: dense(m), Beta: dense(m), Alpha: dense(m),
+		Mu:      make([]float64, m),
 		Kernels: make([]kernel.Kernel, m),
 		link:    link,
 	}
 	for i := range mod.Kernels {
 		mod.Kernels[i] = k
 	}
-	mod.sources = make([][]int, m)
+	sources := make([][]int, m)
+	type pair struct{ alpha, gammaI, gammaN, beta float64 }
+	vals := map[[2]int]pair{}
 	for i := 0; i < m; i++ {
 		mod.Mu[i] = r.Uniform(0.001, 0.1)
 		for j := 0; j < m; j++ {
 			if i != j && r.Bernoulli(0.5) {
-				mod.sources[i] = append(mod.sources[i], j)
-				mod.GammaI[i][j] = r.Uniform(0, 2)
-				mod.GammaN[i][j] = r.Uniform(0, 2)
-				mod.Beta[i][j] = r.Uniform(0.01, 5)
-				mod.Alpha[i][j] = r.Uniform(0, 2)
+				sources[i] = append(sources[i], j)
+				vals[[2]int{i, j}] = pair{gammaI: r.Uniform(0, 2), gammaN: r.Uniform(0, 2), beta: r.Uniform(0.01, 5), alpha: r.Uniform(0, 2)}
 			}
 		}
 	}
+	setParams(mod, sources, func(i, j int) (alpha, gammaI, gammaN, beta float64) {
+		p := vals[[2]int{i, j}]
+		return p.alpha, p.gammaI, p.gammaN, p.beta
+	})
 	return mod
 }
 

@@ -31,6 +31,17 @@ type winEntry struct {
 	phi float64
 }
 
+// Pools for the M-step's per-dimension data: a worker builds dimension i's
+// dimData from them and hands everything back once i is optimized, so at
+// most Workers dimensions' data are live at once.
+var (
+	srcEventPool scratch.Pool[srcEvent]
+	winEntryPool scratch.Pool[winEntry]
+	windowPool   scratch.Pool[[]winEntry]
+	pairPool     scratch.Pool[conformity.Pair]
+	slotPool     scratch.Pool[int32]
+)
+
 // dimData is everything the per-dimension objective needs, precomputed once
 // per M-step (the forest, conformity state, and kernels are fixed within
 // one M-step).
@@ -42,85 +53,38 @@ type dimData struct {
 	grid    [][]winEntry // Euler-grid windows (nonlinear links only)
 	gridH   float64
 	pairs   []conformity.Pair // conformity variants: source slot s's pair (i, sources[i][s])
+
+	flat [2][]winEntry // the pooled backing arrays of targets and grid
 }
 
-// layout describes how one dimension's parameters pack into a flat vector:
-// x[0] = μ, then per source the enabled blocks.
-type layout struct {
-	conformityAware  bool
-	useInformational bool
-	useNormative     bool
-	perSrc           int
+// release hands d's pooled arrays back; d must not be used after.
+func (d *dimData) release() {
+	srcEventPool.Put(d.src)
+	for _, w := range [...][][]winEntry{d.targets, d.grid} {
+		clear(w) // drop the references into flat
+		windowPool.Put(w)
+	}
+	for _, f := range d.flat {
+		winEntryPool.Put(f)
+	}
+	clear(d.pairs) // a pooled handle must not keep the snapshot alive
+	pairPool.Put(d.pairs)
 }
 
-func (m *Model) layout() layout {
-	l := layout{
-		conformityAware:  m.Variant.ConformityAware,
-		useInformational: m.Variant.UseInformational,
-		useNormative:     m.Variant.UseNormative,
-	}
-	if !l.conformityAware {
-		l.perSrc = 1 // α
-		return l
-	}
-	if l.useInformational {
-		l.perSrc += 2 // γI, β
-	}
-	if l.useNormative {
-		l.perSrc++ // γN
-	}
-	return l
-}
-
-func (l layout) gammaIIdx(s int) int { return 1 + s*l.perSrc }
-func (l layout) betaIdx(s int) int   { return 2 + s*l.perSrc }
-func (l layout) gammaNIdx(s int) int {
-	base := 1 + s*l.perSrc
-	if l.useInformational {
-		return base + 2
-	}
-	return base
-}
-func (l layout) alphaIdx(s int) int { return 1 + s*l.perSrc }
-
-// pack collects dimension i's current parameters.
+// pack collects dimension i's current parameters: μ, then the row's source
+// values.
 func (m *Model) pack(i int) []float64 {
-	l := m.layout()
-	x := make([]float64, 1+len(m.sources[i])*l.perSrc)
+	src := m.params.sourceVals(i)
+	x := make([]float64, 1+len(src))
 	x[0] = m.Mu[i]
-	for s, j := range m.sources[i] {
-		if !l.conformityAware {
-			x[l.alphaIdx(s)] = m.Alpha[i][j]
-			continue
-		}
-		if l.useInformational {
-			x[l.gammaIIdx(s)] = m.GammaI[i][j]
-			x[l.betaIdx(s)] = m.Beta[i][j]
-		}
-		if l.useNormative {
-			x[l.gammaNIdx(s)] = m.GammaN[i][j]
-		}
-	}
+	copy(x[1:], src)
 	return x
 }
 
 // unpack writes an optimized vector back into the model.
 func (m *Model) unpack(i int, x []float64) {
-	l := m.layout()
 	m.Mu[i] = x[0]
-	for s, j := range m.sources[i] {
-		if !l.conformityAware {
-			m.Alpha[i][j] = x[l.alphaIdx(s)]
-			continue
-		}
-		if l.useInformational {
-			m.GammaI[i][j] = x[l.gammaIIdx(s)]
-			m.Beta[i][j] = x[l.betaIdx(s)]
-		}
-		if l.useNormative {
-			m.GammaN[i][j] = x[l.gammaNIdx(s)]
-		}
-	}
+	copy(m.params.sourceVals(i), x[1:])
 }
 
 // bounds returns box constraints matching pack's layout. Nonlinear links
@@ -129,7 +93,8 @@ func (m *Model) unpack(i int, x []float64) {
 // otherwise blow the held-out compensator up (e^g) on unseen bursts.
 func (m *Model) bounds(i int) (lower, upper []float64) {
 	l := m.layout()
-	n := 1 + len(m.sources[i])*l.perSrc
+	srcs := m.params.sources(i)
+	n := 1 + len(srcs)*l.perSrc
 	lower = make([]float64, n)
 	upper = make([]float64, n)
 	_, linear := m.link.(hawkes.LinearLink)
@@ -146,7 +111,7 @@ func (m *Model) bounds(i int) (lower, upper []float64) {
 	if m.muLo != nil {
 		lower[0], upper[0] = m.muLo[i], m.muHi[i]
 	}
-	for s := range m.sources[i] {
+	for s := range srcs {
 		if !l.conformityAware {
 			lower[l.alphaIdx(s)], upper[l.alphaIdx(s)] = 0, coefCap
 			continue
@@ -223,7 +188,7 @@ func (m *Model) objective(d *dimData) *dimObjective {
 	l := m.layout()
 	_, linear := m.link.(hawkes.LinearLink)
 	o := &dimObjective{m: m, d: d, l: l, linear: linear}
-	nx := 1 + len(m.sources[d.i])*l.perSrc
+	nx := 1 + len(m.params.sources(d.i))*l.perSrc
 	nSrc := 0
 	if l.conformityAware {
 		nSrc = len(d.src)
@@ -239,7 +204,7 @@ func (m *Model) objective(d *dimData) *dimObjective {
 	o.g = carve(len(d.targets) + len(d.grid))
 	o.lam = carve(len(d.targets))
 	if !l.conformityAware {
-		o.slot = make([]int32, len(d.src))
+		o.slot = slotPool.Get(len(d.src))
 		for e := range d.src {
 			o.slot[e] = int32(l.alphaIdx(int(d.src[e].jIdx)))
 		}
@@ -262,6 +227,7 @@ func (m *Model) objective(d *dimData) *dimObjective {
 func (o *dimObjective) release() {
 	scratch.PutFloats(o.floats)
 	clampPool.Put(o.clamped)
+	slotPool.Put(o.slot)
 }
 
 // eval is the infer.Objective: the value at x, and the gradient into grad
@@ -528,7 +494,9 @@ func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Com
 		initStep *= m.stepScale
 	}
 	err := parallel.DoContext(ctx, parallel.Workers(m.cfg.Workers), m.M, func(i int) error {
-		norm := m.optimizeDim(i, m.buildDim(cols, conf, i), initStep, norms != nil)
+		d := m.buildDim(cols, conf, i)
+		norm := m.optimizeDim(i, d, initStep, norms != nil)
+		d.release()
 		if norms != nil {
 			norms[i] = norm
 		}
@@ -569,7 +537,7 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 	ker := m.Kernels[i]
 	support := ker.Support()
 	T := cols.horizon
-	srcs := m.sources[i]
+	srcs := m.params.sources(i)
 	users := srcs
 	if !slices.Contains(srcs, i) {
 		users = append(srcs[:len(srcs):len(srcs)], i)
@@ -580,17 +548,19 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 	}
 	d := &dimData{i: i, T: T}
 	if nSrc > 0 {
-		d.src = make([]srcEvent, 0, nSrc)
+		d.src = srcEventPool.Get(nSrc)[:0]
 	}
 	if l.conformityAware && len(srcs) > 0 {
-		d.pairs = make([]conformity.Pair, len(srcs))
+		d.pairs = pairPool.Get(len(srcs))
 		for s, j := range srcs {
 			d.pairs[s] = conf.Pair(i, j)
 		}
 	}
-	w := windows{ends: make([]int, 0, len(cols.eventsOf(i)))}
+	w := newWindows(len(cols.eventsOf(i)))
 	start := 0
-	for _, k := range cols.merge(users) {
+	evs := cols.merge(users)
+	defer positions.Put(evs)
+	for _, k := range evs {
 		t, u := cols.times[k], int(cols.users[k])
 		if u == i {
 			for start < len(d.src) && d.src[start].t < t-support {
@@ -615,7 +585,7 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 			d.src = append(d.src, e)
 		}
 	}
-	d.targets = w.cut()
+	d.targets, d.flat[0] = w.cut()
 	if _, linear := m.link.(hawkes.LinearLink); !linear {
 		m.buildGrid(d)
 	}
@@ -624,10 +594,15 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 
 // windows collects a dimension's windows back to back in one array, so the
 // builder grows one slice instead of one per window and the objective reads
-// them contiguously.
+// them contiguously. Both arrays are pooled.
 type windows struct {
 	flat []winEntry
 	ends []int
+}
+
+// newWindows starts a collection of n windows.
+func newWindows(n int) windows {
+	return windows{flat: winEntryPool.Get(0), ends: scratch.Ints(n)[:0]}
 }
 
 func (w *windows) add(src int32, phi float64) { w.flat = append(w.flat, winEntry{src: src, phi: phi}) }
@@ -635,12 +610,15 @@ func (w *windows) add(src int32, phi float64) { w.flat = append(w.flat, winEntry
 // close ends the current window.
 func (w *windows) close() { w.ends = append(w.ends, len(w.flat)) }
 
-// cut returns the closed windows in order; an empty window is nil.
-func (w *windows) cut() [][]winEntry {
+// cut returns the closed windows in order, an empty window nil, and the
+// array behind them, which the windows reference until it goes back to the
+// pool; it returns the ends array to its pool.
+func (w *windows) cut() ([][]winEntry, []winEntry) {
+	defer scratch.PutInts(w.ends)
 	if len(w.ends) == 0 {
-		return nil
+		return nil, w.flat
 	}
-	out := make([][]winEntry, len(w.ends))
+	out := windowPool.Get(len(w.ends))
 	lo := 0
 	for k, hi := range w.ends {
 		if hi > lo {
@@ -648,7 +626,7 @@ func (w *windows) cut() [][]winEntry {
 		}
 		lo = hi
 	}
-	return out
+	return out, w.flat
 }
 
 // buildGrid adds dimension d.i's Euler-grid windows for a nonlinear link.
@@ -663,7 +641,7 @@ func (m *Model) buildGrid(d *dimData) {
 	support := ker.Support()
 	g := m.cfg.IntegrationGrid
 	d.gridH = d.T / float64(g)
-	w := windows{ends: make([]int, 0, g)}
+	w := newWindows(g)
 	lo := 0
 	for s := 0; s < g; s++ {
 		ts := float64(s) * d.gridH // left endpoints
@@ -681,7 +659,7 @@ func (m *Model) buildGrid(d *dimData) {
 		}
 		w.close()
 	}
-	d.grid = w.cut()
+	d.grid, d.flat[1] = w.cut()
 }
 
 // optimizeDim runs the per-dimension optimizer stage on prepared dimData:

@@ -121,7 +121,7 @@ func TestForestSources(t *testing.T) {
 		counts[i][j]++
 	}
 	srcSet := make([]map[int]bool, d.Seq.M)
-	for i, js := range forest.sources {
+	for i, js := range forest.params.sourceLists() {
 		srcSet[i] = map[int]bool{}
 		for _, j := range js {
 			srcSet[i][j] = true

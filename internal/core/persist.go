@@ -16,34 +16,40 @@ import (
 // modelFormatVersion is the model-file wire version Save writes. Bump it
 // when modelJSON changes incompatibly; LoadModel rejects files from the
 // future with a *checkpoint.VersionError instead of silently misreading
-// them. Files without a version field (written before versioning) read as
-// version 0 and stay loadable.
-const modelFormatVersion = 1
+// them. Version 2 writes the parameter rows; files of version 1, and those
+// without a version field (written before versioning, read as version 0),
+// carry dense M×M matrices and stay loadable.
+const modelFormatVersion = 2
 
 // modelJSON is the wire form of a fitted model. The training sequence is
 // not embedded — it is the caller's dataset file — so model files stay
 // small; Load rebinds the parameters to the sequence and rebuilds the
 // conformity state from the persisted forest.
 type modelJSON struct {
-	Version    int         `json:"version"`
-	Variant    Variant     `json:"variant"`
-	M          int         `json:"m"`
-	Horizon    float64     `json:"horizon"`
-	Mu         []float64   `json:"mu"`
-	GammaI     [][]float64 `json:"gamma_i,omitempty"`
-	GammaN     [][]float64 `json:"gamma_n,omitempty"`
-	Beta       [][]float64 `json:"beta,omitempty"`
-	Alpha      [][]float64 `json:"alpha,omitempty"`
-	Sources    [][]int     `json:"sources"`
-	Parents    []int       `json:"parents"`
-	KernelStep []float64   `json:"kernel_step"`
-	KernelVals [][]float64 `json:"kernel_values"`
+	Version int       `json:"version"`
+	Variant Variant   `json:"variant"`
+	M       int       `json:"m"`
+	Horizon float64   `json:"horizon"`
+	Mu      []float64 `json:"mu"`
+	// GammaI, GammaN, Beta and Alpha are version 1's dense parameter
+	// matrices: read, never written.
+	GammaI  [][]float64 `json:"gamma_i,omitempty"`
+	GammaN  [][]float64 `json:"gamma_n,omitempty"`
+	Beta    [][]float64 `json:"beta,omitempty"`
+	Alpha   [][]float64 `json:"alpha,omitempty"`
+	Sources [][]int     `json:"sources"`
+	// Rows holds, from version 2, each receiver's parameter row: its users
+	// in ascending order, sources and tail alike, and their values.
+	Rows       []paramRowJSON `json:"rows,omitempty"`
+	Parents    []int          `json:"parents"`
+	KernelStep []float64      `json:"kernel_step"`
+	KernelVals [][]float64    `json:"kernel_values"`
 	// KernelExp carries the exact parametric form when every kernel is
 	// exponential (ExpKernel fits). The tabulated KernelStep/KernelVals are
-	// still written — the format version stays 1 and old readers keep
-	// working — but a reader that understands this field restores
-	// kernel.Exponential values, preserving the fitted process's
-	// eligibility for the exponential fast path across a save/load cycle.
+	// still written, so readers that predate the field keep working, but a
+	// reader that understands it restores kernel.Exponential values,
+	// preserving the fitted process's eligibility for the exponential fast
+	// path across a save/load cycle.
 	KernelExp  []expKernelJSON `json:"kernel_exp,omitempty"`
 	Iterations int             `json:"iterations"`
 	Config     Config          `json:"config"`
@@ -152,13 +158,8 @@ func (m *Model) Save(w io.Writer) error {
 	out := modelJSON{
 		Version: modelFormatVersion,
 		Variant: m.Variant, M: m.M, Horizon: m.Horizon,
-		Mu: m.Mu, Sources: m.sources, Iterations: m.Iterations,
-		Config: m.cfg,
-	}
-	if m.Variant.ConformityAware {
-		out.GammaI, out.GammaN, out.Beta = m.GammaI, m.GammaN, m.Beta
-	} else {
-		out.Alpha = m.Alpha
+		Mu: m.Mu, Sources: m.params.sourceLists(), Rows: m.params.wire(),
+		Iterations: m.Iterations, Config: m.cfg,
 	}
 	out.Parents = parentInts(m.Forest)
 	var err error
@@ -188,29 +189,30 @@ func LoadModel(r io.Reader, train *timeline.Sequence) (*Model, error) {
 	if len(in.Parents) != train.Len() {
 		return nil, fmt.Errorf("core: persisted forest covers %d activities, sequence has %d", len(in.Parents), train.Len())
 	}
+	if err := in.Variant.validate(); err != nil {
+		return nil, err
+	}
 	link, err := in.Variant.Link()
 	if err != nil {
 		return nil, err
 	}
+	if len(in.Mu) != in.M {
+		return nil, fmt.Errorf("core: mu has %d entries, model has %d dimensions", len(in.Mu), in.M)
+	}
 	m := &Model{
 		M: in.M, Variant: in.Variant, Horizon: in.Horizon,
-		Mu: in.Mu, GammaI: in.GammaI, GammaN: in.GammaN,
-		Beta: in.Beta, Alpha: in.Alpha,
+		Mu:      in.Mu,
 		Kernels: make([]kernel.Kernel, in.M),
 		cfg:     in.Config, link: link, seq: train,
-		sources: in.Sources, Iterations: in.Iterations,
+		Iterations: in.Iterations,
 	}
-	if m.GammaI == nil {
-		m.GammaI = dense(in.M)
+	if in.Version >= 2 {
+		m.params, err = paramsFromWire(m.layout(), in.M, in.Sources, in.Rows)
+	} else {
+		m.params, err = paramsFromDense(m.layout(), in.M, in.Sources, in.Alpha, in.GammaI, in.GammaN, in.Beta)
 	}
-	if m.GammaN == nil {
-		m.GammaN = dense(in.M)
-	}
-	if m.Beta == nil {
-		m.Beta = dense(in.M)
-	}
-	if m.Alpha == nil {
-		m.Alpha = dense(in.M)
+	if err != nil {
+		return nil, err
 	}
 	if in.KernelExp != nil {
 		if len(in.KernelExp) != in.M {
@@ -223,13 +225,14 @@ func LoadModel(r io.Reader, train *timeline.Sequence) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(m.Kernels) != in.M {
+		return nil, fmt.Errorf("core: %d kernels, model has %d dimensions", len(m.Kernels), in.M)
+	}
 	m.Forest, err = forestFromInts(in.Parents)
 	if err != nil {
 		return nil, err
 	}
-	if m.reads, err = m.readSet(); err != nil {
-		return nil, err
-	}
+	m.reads = m.params.readSets()
 	if m.Variant.ConformityAware {
 		work := train.StripParents()
 		m.Conf, err = conformity.NewOn(work, m.Forest, m.cfg.Conformity, m.reads)

@@ -12,21 +12,20 @@ import (
 // a failed attempt can be undone and retried with a smaller step. The RNG
 // needs no snapshot — restoring estepCalls pins the E-step streams.
 type emSnapshot struct {
-	mu                          []float64
-	gammaI, gammaN, beta, alpha [][]float64
-	kernels                     []kernel.Kernel
-	forest                      *branching.Forest
-	estepCalls                  int
-	historyLen                  int
-	iterations                  int
+	mu         []float64
+	params     *params
+	kernels    []kernel.Kernel
+	forest     *branching.Forest
+	estepCalls int
+	historyLen int
+	iterations int
 }
 
 // snapshotState captures the pre-iteration state.
 func (m *Model) snapshotState(forest *branching.Forest) *emSnapshot {
 	return &emSnapshot{
 		mu:     append([]float64(nil), m.Mu...),
-		gammaI: copyMat(m.GammaI), gammaN: copyMat(m.GammaN),
-		beta: copyMat(m.Beta), alpha: copyMat(m.Alpha),
+		params: m.params.clone(),
 		// Kernel updates replace slice elements and never mutate a kernel
 		// in place, so copying the slice header row is enough.
 		kernels:    append([]kernel.Kernel(nil), m.Kernels...),
@@ -42,23 +41,13 @@ func (m *Model) snapshotState(forest *branching.Forest) *emSnapshot {
 // stepScale is deliberately NOT restored: the backoff is the recovery.
 func (m *Model) restoreState(s *emSnapshot) {
 	m.Mu = append([]float64(nil), s.mu...)
-	m.GammaI, m.GammaN = copyMat(s.gammaI), copyMat(s.gammaN)
-	m.Beta, m.Alpha = copyMat(s.beta), copyMat(s.alpha)
+	m.params = s.params.clone()
 	m.Kernels = append([]kernel.Kernel(nil), s.kernels...)
 	m.estepCalls = s.estepCalls
 	if len(m.History) > s.historyLen {
 		m.History = m.History[:s.historyLen]
 	}
 	m.Iterations = s.iterations
-}
-
-// copyMat deep-copies a dense matrix.
-func copyMat(src [][]float64) [][]float64 {
-	out := make([][]float64, len(src))
-	for i := range src {
-		out[i] = append([]float64(nil), src[i]...)
-	}
-	return out
 }
 
 // checkParamsFinite verifies every fitted parameter and tabulated kernel is
@@ -68,17 +57,7 @@ func (m *Model) checkParamsFinite() (string, *guard.Violation) {
 	if v := guard.CheckVec("mu", m.Mu); v != nil {
 		return "mstep", v
 	}
-	if m.Variant.ConformityAware {
-		if v := guard.CheckMat("gamma_i", m.GammaI); v != nil {
-			return "mstep", v
-		}
-		if v := guard.CheckMat("gamma_n", m.GammaN); v != nil {
-			return "mstep", v
-		}
-		if v := guard.CheckMat("beta", m.Beta); v != nil {
-			return "mstep", v
-		}
-	} else if v := guard.CheckMat("alpha", m.Alpha); v != nil {
+	if v := m.params.checkFinite(m.layout()); v != nil {
 		return "mstep", v
 	}
 	for _, k := range m.Kernels {

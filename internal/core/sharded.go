@@ -243,19 +243,13 @@ func (m *Model) Fingerprint() string {
 	for _, v := range m.Mu {
 		wf(v)
 	}
-	for i := 0; i < m.M && i < len(m.sources); i++ {
-		for _, j := range m.sources[i] {
+	per := m.layout().perSrc
+	for i := 0; m.params != nil && i < m.M; i++ {
+		vals := m.params.sourceVals(i)
+		for s, j := range m.params.sources(i) {
 			w64(uint64(j))
-			if !m.Variant.ConformityAware {
-				wf(m.Alpha[i][j])
-				continue
-			}
-			if m.Variant.UseInformational {
-				wf(m.GammaI[i][j])
-				wf(m.Beta[i][j])
-			}
-			if m.Variant.UseNormative {
-				wf(m.GammaN[i][j])
+			for _, v := range vals[s*per : (s+1)*per] {
+				wf(v)
 			}
 		}
 	}

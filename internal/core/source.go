@@ -92,7 +92,8 @@ func (c *eventCols) eventsOf(j int) []int32 { return c.byUser[c.userOff[j]:c.use
 // order: exactly the events a chronological scan of the whole corpus meets
 // for them. It marks the positions in a bitset over the span they cover and
 // reads the set bits back in increasing order, so a call costs O(events +
-// span/64) and never compares one user's positions with another's.
+// span/64) and never compares one user's positions with another's. The
+// slice comes from the positions pool; the caller may hand it back.
 func (c *eventCols) merge(users []int) []int32 {
 	lo, hi, n := int32(len(c.users)), int32(0), 0
 	for _, j := range users {
@@ -104,7 +105,7 @@ func (c *eventCols) merge(users []int) []int32 {
 	if n == 0 {
 		return nil
 	}
-	dst := make([]int32, 0, n)
+	dst := positions.Get(n)[:0]
 	set := spanBits.Get(int(hi-lo+63) / 64)
 	for _, j := range users {
 		for _, k := range c.eventsOf(j) {
@@ -121,8 +122,12 @@ func (c *eventCols) merge(users []int) []int32 {
 	return dst
 }
 
-// spanBits recycles merge's bitsets across calls and workers.
-var spanBits scratch.Pool[uint64]
+var (
+	// spanBits recycles merge's bitsets across calls and workers.
+	spanBits scratch.Pool[uint64]
+	// positions recycles event-position lists: merge's results.
+	positions scratch.Pool[int32]
+)
 
 // seqSource is an in-memory sequence as an event source: one window that
 // holds every chunk of the grid.

@@ -23,27 +23,28 @@ func Forward(x []complex128) []complex128 {
 	return out
 }
 
-// Inverse returns the inverse DFT x[k] = (1/N)·Σ_n X[n]·e^{+j·2πnk/N}.
+// Inverse replaces x with its inverse DFT x[k] = (1/N)·Σ_n X[n]·e^{+j·2πnk/N}
+// and returns it.
 func Inverse(x []complex128) []complex128 {
-	out := append([]complex128(nil), x...)
-	transform(out, true)
-	n := float64(len(out))
+	transform(x, true)
+	n := float64(len(x))
 	if n > 0 {
-		for i := range out {
-			out[i] /= complex(n, 0)
+		for i := range x {
+			x[i] /= complex(n, 0)
 		}
 	}
-	return out
+	return x
 }
 
-// ForwardReal transforms a real signal.
-func ForwardReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
+// ForwardReal writes the DFT of the real signal x into dst[:len(x)] and
+// returns that slice.
+func ForwardReal(dst []complex128, x []float64) []complex128 {
+	dst = dst[:len(x)]
 	for i, v := range x {
-		c[i] = complex(v, 0)
+		dst[i] = complex(v, 0)
 	}
-	transform(c, false)
-	return c
+	transform(dst, false)
+	return dst
 }
 
 func transform(x []complex128, inverse bool) {

@@ -84,7 +84,7 @@ func TestFFTMatchesNaive(t *testing.T) {
 
 func TestForwardReal(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
-	c := ForwardReal(x)
+	c := ForwardReal(make([]complex128, len(x)), x)
 	want := Forward([]complex128{1, 2, 3, 4})
 	for i := range c {
 		if cmplx.Abs(c[i]-want[i]) > 1e-12 {

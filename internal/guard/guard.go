@@ -141,16 +141,6 @@ func CheckVec(quantity string, values []float64) *Violation {
 	return nil
 }
 
-// CheckMat is CheckFinite over a dense matrix.
-func CheckMat(quantity string, m [][]float64) *Violation {
-	for _, row := range m {
-		if v := CheckVec(quantity, row); v != nil {
-			return v
-		}
-	}
-	return nil
-}
-
 // CheckGradNorm validates an M-step's reported gradient norm against the
 // policy: non-finite or beyond MaxGradNorm is a violation. A NaN norm that
 // merely means "not collected" must be filtered by the caller before it gets
