@@ -79,7 +79,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	// treated as unlabeled: inference never reads the ground-truth parents.
 	src := newSeqSource(seq.StripParents())
 	src.raw = seq
-	m, err := fit(ctx, src, cfg, observed)
+	m, err := fit(ctx, src, cfg, observed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -89,8 +89,10 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 
 // fit is the semi-parametric EM loop behind FitContext and FitSharded. cfg
 // is filled; observed, when non-nil, is the platform's forest, which
-// replaces tree inference.
-func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.Forest) (*Model, error) {
+// replaces tree inference; ranked, when non-nil, is cooccurrenceSources'
+// ranking of src's columns at cfg.KernelSupport, which the warm-start pilot
+// takes from the outer fit instead of ranking again.
+func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.Forest, ranked [][]int) (*Model, error) {
 	cols, seq := src.columns(), src.sequence()
 	if cfg.KernelSupport <= 0 {
 		// Data-driven kernel horizon. Bursty streams make the median gap
@@ -167,9 +169,11 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 			return nil, err
 		}
 
-		coocc, err := cooccurrenceSources(cols, cfg.KernelSupport, cfg.Workers)
-		if err != nil {
-			return nil, err
+		coocc := ranked
+		if coocc == nil {
+			if coocc, err = cooccurrenceSources(cols, cfg.KernelSupport, cfg.Workers); err != nil {
+				return nil, err
+			}
 		}
 		if err := m.initParams(cols, coocc); err != nil {
 			return nil, err
@@ -204,11 +208,12 @@ func fit(ctx context.Context, src eventSource, cfg Config, observed *branching.F
 			// of this fit) but not the observer: the observer contract promises
 			// strictly increasing iteration numbers for *this* fit only. It also
 			// never checkpoints — the outer fit's checkpoint subsumes it. It
-			// runs on the same source, so the corpus is not read again.
+			// runs on the same source at the same support, so the corpus is
+			// not read again and the co-occurrence ranking is this fit's.
 			hpCfg.observer = nil
 			hpCfg.CheckpointDir = ""
 			hpCfg.Resume = false
-			hp, err := fit(ctx, src, hpCfg, nil)
+			hp, err := fit(ctx, src, hpCfg, nil, coocc)
 			if err != nil {
 				return nil, wrapCancel("warmstart", 0, err)
 			}
@@ -695,17 +700,18 @@ func forestSources(cols *eventCols, forest *branching.Forest, coocc [][]int) [][
 func cooccurrenceSources(cols *eventCols, support float64, workers int) ([][]int, error) {
 	times, users := cols.times, cols.users
 	out := make([][]int, cols.m)
-	// A per-user tally for each running worker; a receiver zeroes the
-	// entries it touched before putting the tally back.
-	tallies := sync.Pool{New: func() any {
-		c := make([]int, cols.m)
-		return &c
-	}}
+	// Each running worker's buffers: a per-user tally, which a receiver
+	// zeroes at the entries it touched before handing it back, the touched
+	// users and the candidate list.
+	type buffers struct {
+		count, touched []int
+		list           []srcCount
+	}
+	pool := sync.Pool{New: func() any { return &buffers{count: make([]int, cols.m)} }}
 	err := parallel.Do(workers, cols.m, func(i int) error {
-		tp := tallies.Get().(*[]int)
-		defer tallies.Put(tp)
-		count := *tp
-		var touched []int
+		b := pool.Get().(*buffers)
+		defer pool.Put(b)
+		count, touched, list := b.count, b.touched[:0], b.list[:0]
 		lo := 0
 		for _, k := range cols.eventsOf(i) {
 			// The window start only moves forward: binary-search it from
@@ -722,13 +728,13 @@ func cooccurrenceSources(cols *eventCols, support float64, workers int) ([][]int
 				}
 			}
 		}
-		var list []srcCount
 		for _, j := range touched {
 			if count[j] >= 2 {
 				list = append(list, srcCount{j, count[j]})
 			}
 			count[j] = 0
 		}
+		b.touched, b.list = touched, list // keep what they grew to
 		list = strongest(list)
 		js := make([]int, len(list))
 		for idx, e := range list {

@@ -502,12 +502,14 @@ var objectiveVariants = []Variant{VariantLHP, VariantEHP, VariantL, VariantLI, V
 // component with the reference objective's, via math.Float64bits, for every
 // variant: the closed-form and the Euler-grid compensator, the static HP
 // objective and the conformity one (clamped negative weights included), in
-// the call orders of the optimizer (sameObjectiveBits).
+// the call orders of the optimizer (sameObjectiveBits). The reference runs
+// on the same data and, at every call with finite coordinates, on the
+// dimension's data built without the structural-zero rule too.
 func TestObjectiveMatchesReference(t *testing.T) {
 	for vi, v := range objectiveVariants {
 		t.Run(v.Name(), func(t *testing.T) {
 			r := rng.New(int64(41 + vi))
-			evaluated := 0
+			evaluated, pruned := 0, 0
 			for c := 0; c < 10; c++ {
 				users := 3 + r.Intn(6)
 				horizon := 50 + r.Uniform(0, 300)
@@ -526,6 +528,10 @@ func TestObjectiveMatchesReference(t *testing.T) {
 					}
 					d := m.buildDim(cols, conf, i)
 					obj, ref := m.objective(d), m.refObjective(d, conf)
+					full := m.refObjective(m.refBuildDimData(seq, conf, i, !isLinear(m), false), conf)
+					if d.dropped > 0 {
+						pruned++
+					}
 					lower, upper := m.bounds(i)
 					for trial := 0; trial < 6; trial++ {
 						x := m.pack(i)
@@ -537,7 +543,7 @@ func TestObjectiveMatchesReference(t *testing.T) {
 								}
 							}
 						}
-						sameObjectiveBits(t, obj.eval, ref, x)
+						sameObjectiveBits(t, obj.eval, ref, full, x)
 						evaluated++
 					}
 					obj.release()
@@ -545,6 +551,9 @@ func TestObjectiveMatchesReference(t *testing.T) {
 			}
 			if evaluated < 50 {
 				t.Fatalf("only %d evaluations", evaluated)
+			}
+			if v.ConformityAware && pruned == 0 {
+				t.Fatal("no dimension dropped a source event")
 			}
 		})
 	}
@@ -593,8 +602,8 @@ type objCall struct {
 	grad bool
 }
 
-// sameObjectiveBits runs both objectives through the optimizer's call
-// orders around x and fails t on the first differing bit:
+// sameObjectiveBits runs the objectives through the optimizer's call
+// orders around x and fails t on the first differing bit (sameCallBits):
 //   - value only at x, then value and gradient at x (an accepted trial and
 //     the gradient refresh at it);
 //   - for every coordinate p, value only at x with x[p] moved, then value
@@ -602,7 +611,7 @@ type objCall struct {
 //     point);
 //   - value only at a point whose value is NaN, then value and gradient at
 //     x.
-func sameObjectiveBits(t *testing.T, obj, ref infer.Objective, x []float64) {
+func sameObjectiveBits(t *testing.T, obj, ref, full infer.Objective, x []float64) {
 	t.Helper()
 	calls := []objCall{{x, false}, {x, true}}
 	for p := range x {
@@ -616,33 +625,55 @@ func sameObjectiveBits(t *testing.T, obj, ref infer.Objective, x []float64) {
 		t.Fatalf("value %v at a NaN μ", v)
 	}
 	calls = append(calls, objCall{nan, false}, objCall{x, true})
-	if err := sameCallBits(obj, ref, calls); err != nil {
+	if err := sameCallBits(obj, ref, full, calls); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// sameCallBits makes each call on both objectives in order and returns the
-// first value or gradient component whose bits differ.
-func sameCallBits(obj, ref infer.Objective, calls []objCall) error {
+// sameCallBits makes each call on obj and ref in order and returns the first
+// value or gradient component whose bits differ. full is the reference
+// objective on the dimension's data built without the structural-zero rule:
+// a call whose coordinates are all finite is made on it too and must give
+// the same bits.
+func sameCallBits(obj, ref, full infer.Objective, calls []objCall) error {
 	for k, c := range calls {
-		var g, w []float64
-		if c.grad {
-			g, w = make([]float64, len(c.x)), make([]float64, len(c.x))
-			for p := range g {
-				g[p], w[p] = math.NaN(), math.NaN() // stale gradients must be overwritten
+		got, g := callObjective(obj, c)
+		refs := []infer.Objective{ref}
+		if !slices.ContainsFunc(c.x, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }) {
+			refs = append(refs, full)
+		}
+		for r, f := range refs {
+			want, w := callObjective(f, c)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				return fmt.Errorf("call %d (gradient %v) at %v: value %v, reference %d %v", k, c.grad, c.x, got, r, want)
 			}
-		}
-		got, want := obj(c.x, g), ref(c.x, w)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			return fmt.Errorf("call %d (gradient %v) at %v: value %v, reference %v", k, c.grad, c.x, got, want)
-		}
-		for p := range g {
-			if math.Float64bits(g[p]) != math.Float64bits(w[p]) {
-				return fmt.Errorf("call %d at %v: gradient[%d] %v, reference %v", k, c.x, p, g[p], w[p])
+			for p := range g {
+				if math.Float64bits(g[p]) != math.Float64bits(w[p]) {
+					return fmt.Errorf("call %d at %v: gradient[%d] %v, reference %d %v", k, c.x, p, g[p], r, w[p])
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// callObjective makes call c on f: the value, and the gradient when c asks
+// for one, written over NaNs so a stale component shows.
+func callObjective(f infer.Objective, c objCall) (float64, []float64) {
+	var g []float64
+	if c.grad {
+		g = make([]float64, len(c.x))
+		for p := range g {
+			g[p] = math.NaN()
+		}
+	}
+	return f(c.x, g), g
+}
+
+// isLinear reports whether m's link is the linear one: no Euler grid.
+func isLinear(m *Model) bool {
+	_, linear := m.link.(hawkes.LinearLink)
+	return linear
 }
 
 // FuzzObjective runs one dimension's objective against the reference
@@ -665,6 +696,14 @@ func FuzzObjective(f *testing.F) {
 		[]byte{0, 1, 2, 3, 0, 2, 3, 64, 0, 3, 4, 65, 0, 255, 5, 66, 1, 255, 6, 67},
 		[]byte{1},
 		[]byte{1, 0, 0, 0, 4, 1, 1, 0})
+	// CHASSIS-L, receiver 0 of TestBuildDimDropsStructurallyZeroTerms's
+	// cascade: its sources' events before their pairs' first samples, and
+	// every event of the source without samples, are left out, and the kept
+	// event with Ψ = 0 and αᴺ ≠ 0 stays.
+	f.Add(uint8(2), uint8(3), uint8(79), uint8(63), uint8(0),
+		[]byte{1, 32, 192, 0, 3, 48, 192, 0, 0, 64, 128, 64, 2, 96, 192, 66, 0, 128, 192, 67, 3, 144, 192, 0, 1, 160, 192, 0, 2, 192, 192, 0, 0, 224, 192, 0},
+		[]byte{160, 40, 220, 0},
+		[]byte{3, 0, 4, 5, 1, 0, 5, 2, 6, 1, 1, 0, 3, 0, 4, 200, 1, 0})
 	f.Fuzz(func(t *testing.T, variant, users, hz, support, dim uint8, data, rows, calls []byte) {
 		if len(data) > 4*200 {
 			data = data[:4*200]
@@ -685,6 +724,7 @@ func FuzzObjective(f *testing.F) {
 		d := m.buildDim(seqColumns(seq), conf, i)
 		obj := m.objective(d)
 		defer obj.release()
+		full := m.refObjective(m.refBuildDimData(seq, conf, i, !isLinear(m), false), conf)
 		base := m.pack(i)
 		x := base
 		var seqCalls []objCall
@@ -702,7 +742,7 @@ func FuzzObjective(f *testing.F) {
 			}
 			seqCalls = append(seqCalls, objCall{x, op&1 == 1})
 		}
-		if err := sameCallBits(obj.eval, m.refObjective(d, conf), seqCalls); err != nil {
+		if err := sameCallBits(obj.eval, m.refObjective(d, conf), full, seqCalls); err != nil {
 			t.Fatal(err)
 		}
 	})

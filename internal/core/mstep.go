@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
 
 	"chassis/internal/conformity"
 	"chassis/internal/faultinject"
@@ -46,13 +47,17 @@ var (
 // per M-step (the forest, conformity state, and kernels are fixed within
 // one M-step).
 type dimData struct {
-	i       int
-	T       float64
-	src     []srcEvent
-	targets [][]winEntry // one window per event of dimension i
-	grid    [][]winEntry // Euler-grid windows (nonlinear links only)
-	gridH   float64
-	pairs   []conformity.Pair // conformity variants: source slot s's pair (i, sources[i][s])
+	i   int
+	T   float64
+	src []srcEvent
+	// Conformity variants with the informational part, per source event:
+	// αᴵ's β-free factors 1/ℕᵢ(t) and Ψᵢⱼ(t) (conformity.Pair.Factors).
+	inv, psi []float64
+	dropped  int          // source events left out: their weight is 0 for every Θ
+	targets  [][]winEntry // one window per event of dimension i
+	grid     [][]winEntry // Euler-grid windows (nonlinear links only)
+	gridH    float64
+	pairs    []conformity.Pair // conformity variants: source slot s's pair (i, sources[i][s])
 
 	flat [2][]winEntry // the pooled backing arrays of targets and grid
 }
@@ -60,6 +65,8 @@ type dimData struct {
 // release hands d's pooled arrays back; d must not be used after.
 func (d *dimData) release() {
 	srcEventPool.Put(d.src)
+	scratch.PutFloats(d.inv)
+	scratch.PutFloats(d.psi)
 	for _, w := range [...][][]winEntry{d.targets, d.grid} {
 		clear(w) // drop the references into flat
 		windowPool.Put(w)
@@ -72,10 +79,10 @@ func (d *dimData) release() {
 }
 
 // pack collects dimension i's current parameters: μ, then the row's source
-// values.
+// values, into a slice from the scratch pool.
 func (m *Model) pack(i int) []float64 {
 	src := m.params.sourceVals(i)
-	x := make([]float64, 1+len(src))
+	x := scratch.Floats(1 + len(src))
 	x[0] = m.Mu[i]
 	copy(x[1:], src)
 	return x
@@ -90,13 +97,14 @@ func (m *Model) unpack(i int, x []float64) {
 // bounds returns box constraints matching pack's layout. Nonlinear links
 // get a much tighter excitation ceiling: the pre-link aggregate enters an
 // exponential, so coefficients the fixed integration grid cannot veto would
-// otherwise blow the held-out compensator up (e^g) on unseen bursts.
+// otherwise blow the held-out compensator up (e^g) on unseen bursts. Both
+// slices come from the scratch pool.
 func (m *Model) bounds(i int) (lower, upper []float64) {
 	l := m.layout()
 	srcs := m.params.sources(i)
 	n := 1 + len(srcs)*l.perSrc
-	lower = make([]float64, n)
-	upper = make([]float64, n)
+	lower = scratch.Floats(n)
+	upper = scratch.Floats(n)
 	_, linear := m.link.(hawkes.LinearLink)
 	coefCap := 8.0
 	if testCoefCap > 0 {
@@ -144,8 +152,9 @@ func (m *Model) bounds(i int) (lower, upper []float64) {
 // source events and no clamp mask (HP weights are never clamped). The
 // conformity-aware variants' per-source-event weight
 // w_e = γI·αᴵ(t_e; β) + γN·αᴺ(t_e) moves with β and the γs, so their value
-// pass refreshes it first; αᴵ's β-free factors are read once per dimension,
-// which leaves the value pass only the decay recursion.
+// pass refreshes it first; buildDim reads αᴵ's β-free factors once per
+// dimension, which leaves the value pass only the decay recursion, and
+// leaves out every source event whose weight is structurally zero.
 //
 // The value and each gradient component are independent sums, each added
 // in the order one fused value-and-gradient pass would add it, so every
@@ -160,10 +169,9 @@ type dimObjective struct {
 	slot []int32 // HP: the packed index of source event e's α
 
 	// Conformity-aware variants, per source event: the weight, αᴵ and
-	// ∂αᴵ/∂β at the current β, αᴵ's β-free factors and the linear-link
-	// zero-clamp mask; and one decay cursor per source slot.
+	// ∂αᴵ/∂β at the current β and the linear-link zero-clamp mask; and one
+	// decay cursor per source slot.
 	w, aI, daI []float64
-	inv, psi   []float64
 	clamped    []bool
 	curs       []conformity.DecayCursor
 
@@ -179,21 +187,29 @@ type dimObjective struct {
 	floats []float64 // pooled backing array of every float slice above
 }
 
-// clampPool recycles the conformity objectives' clamp masks.
-var clampPool scratch.Pool[bool]
+var (
+	// objectivePool recycles the objectives themselves; release clears one
+	// before handing it back.
+	objectivePool = sync.Pool{New: func() any { return new(dimObjective) }}
+	// clampPool and cursorPool recycle the conformity objectives' clamp
+	// masks and decay cursors.
+	clampPool  scratch.Pool[bool]
+	cursorPool scratch.Pool[conformity.DecayCursor]
+)
 
-// objective builds dimension d.i's objective. Its per-dimension state comes
-// from the scratch pools; release hands it back.
+// objective builds dimension d.i's objective. It and its per-dimension
+// state come from pools; release hands them back.
 func (m *Model) objective(d *dimData) *dimObjective {
 	l := m.layout()
 	_, linear := m.link.(hawkes.LinearLink)
-	o := &dimObjective{m: m, d: d, l: l, linear: linear}
+	o := objectivePool.Get().(*dimObjective)
+	*o = dimObjective{m: m, d: d, l: l, linear: linear}
 	nx := 1 + len(m.params.sources(d.i))*l.perSrc
 	nSrc := 0
 	if l.conformityAware {
 		nSrc = len(d.src)
 	}
-	buf := scratch.Floats(nx + len(d.targets) + len(d.grid) + len(d.targets) + 5*nSrc)
+	buf := scratch.Floats(nx + len(d.targets) + len(d.grid) + len(d.targets) + 3*nSrc)
 	o.floats = buf
 	carve := func(n int) []float64 {
 		s := buf[:n:n]
@@ -211,23 +227,23 @@ func (m *Model) objective(d *dimData) *dimObjective {
 		return o
 	}
 	o.w, o.aI, o.daI = carve(nSrc), carve(nSrc), carve(nSrc)
-	o.inv, o.psi = carve(nSrc), carve(nSrc)
 	o.clamped = clampPool.Get(nSrc)
 	if l.useInformational {
-		o.curs = make([]conformity.DecayCursor, len(d.pairs))
-		for idx := range d.src {
-			e := &d.src[idx]
-			o.inv[idx], o.psi[idx] = d.pairs[e.jIdx].Factors(e.t)
-		}
+		o.curs = cursorPool.Get(len(d.pairs))
 	}
 	return o
 }
 
-// release returns the objective's pooled state; o must not be used after.
+// release returns the objective and its pooled state; o must not be used
+// after.
 func (o *dimObjective) release() {
 	scratch.PutFloats(o.floats)
 	clampPool.Put(o.clamped)
 	slotPool.Put(o.slot)
+	clear(o.curs) // a pooled cursor must not keep the snapshot alive
+	cursorPool.Put(o.curs)
+	*o = dimObjective{}
+	objectivePool.Put(o)
 }
 
 // eval is the infer.Objective: the value at x, and the gradient into grad
@@ -355,7 +371,7 @@ func (o *dimObjective) conformityValue(x []float64) float64 {
 		e := &d.src[idx]
 		var wt float64
 		if l.useInformational {
-			ai, dai := o.curs[e.jIdx].Informational(e.t, o.inv[idx], o.psi[idx])
+			ai, dai := o.curs[e.jIdx].Informational(e.t, d.inv[idx], d.psi[idx])
 			o.aI[idx], o.daI[idx] = ai, dai
 			wt += x[l.gammaIIdx(int(e.jIdx))] * ai
 		}
@@ -515,13 +531,21 @@ func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Com
 	return nil
 }
 
-// buildDim assembles dimension i's dimData: every event of i's sources
-// (time, kInt, aN) and one target window per event of i, kernel values in
-// event order, plus the Euler-grid windows of a nonlinear link and, for the
-// conformity variants, each source slot's pair handle. It is the
-// M-step's only dimension builder; TestBatchBuilderMatchesPerDim pins it,
-// grid windows included, to a reference that scans the whole sequence once
-// per dimension.
+// buildDim assembles dimension i's dimData: the events of i's sources
+// (time, kInt, aN, and αᴵ's β-free factors) and one target window per event
+// of i, kernel values in event order, plus the Euler-grid windows of a
+// nonlinear link and, for the conformity variants, each source slot's pair
+// handle. It is the M-step's only dimension builder;
+// TestBatchBuilderMatchesPerDim pins it, grid windows included, to a
+// reference that scans the whole sequence once per dimension.
+//
+// A conformity variant's source event is left out, counted in d.dropped,
+// when its weight w_e = γI·Φ·Ψ + γN·αᴺ is zero for every Θ: the
+// informational part is off or 1/ℕᵢ(t_e) = 0 or Ψᵢⱼ(t_e) = 0, and the
+// normative part is off or αᴺᵢⱼ(t_e) = 0. Such a term adds ±0 to every sum
+// the objective forms, so leaving it out of d.src, and so out of every
+// window, changes no bit of the objective at finite points (DESIGN.md §7,
+// "Structurally zero terms").
 //
 // It walks the positions of i's events and its sources' events merged into
 // global order (eventCols.merge), so it meets exactly the events a
@@ -533,7 +557,8 @@ func (m *Model) mStep(ctx context.Context, cols *eventCols, conf *conformity.Com
 // times are nondecreasing, so pruned sources stay prunable.
 func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dimData {
 	l := m.layout()
-	needAN := l.conformityAware && l.useNormative
+	info := l.conformityAware && l.useInformational
+	norm := l.conformityAware && l.useNormative
 	ker := m.Kernels[i]
 	support := ker.Support()
 	T := cols.horizon
@@ -549,6 +574,9 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 	d := &dimData{i: i, T: T}
 	if nSrc > 0 {
 		d.src = srcEventPool.Get(nSrc)[:0]
+		if info {
+			d.inv, d.psi = scratch.Floats(nSrc)[:0], scratch.Floats(nSrc)[:0]
+		}
 	}
 	if l.conformityAware && len(srcs) > 0 {
 		d.pairs = pairPool.Get(len(srcs))
@@ -577,13 +605,27 @@ func (m *Model) buildDim(cols *eventCols, conf *conformity.Computer, i int) *dim
 			}
 			w.close()
 		}
-		if s := slices.Index(srcs, u); s >= 0 {
-			e := srcEvent{j: int32(u), jIdx: int32(s), t: t, kInt: ker.Integral(T - t)}
-			if needAN {
-				e.aN = d.pairs[s].Normative(t)
-			}
-			d.src = append(d.src, e)
+		s := slices.Index(srcs, u)
+		if s < 0 {
+			continue
 		}
+		e := srcEvent{j: int32(u), jIdx: int32(s), t: t}
+		var inv, psi float64
+		if info {
+			inv, psi = d.pairs[s].Factors(t)
+		}
+		if norm {
+			e.aN = d.pairs[s].Normative(t)
+		}
+		if l.conformityAware && (inv == 0 || psi == 0) && e.aN == 0 {
+			d.dropped++
+			continue
+		}
+		if info {
+			d.inv, d.psi = append(d.inv, inv), append(d.psi, psi)
+		}
+		e.kInt = ker.Integral(T - t)
+		d.src = append(d.src, e)
 	}
 	d.targets, d.flat[0] = w.cut()
 	if _, linear := m.link.(hawkes.LinearLink); !linear {
@@ -666,8 +708,9 @@ func (m *Model) buildGrid(d *dimData) {
 // pack, box bounds, projected-gradient ascent, damped blend, fault-injection
 // hook, unpack. Returns the measured projected-gradient norm when wantNorm
 // (NaN when the optimizer failed and the dimension kept its parameters).
-// The objective's pass counts and the optimizer's rejected trials go to the
-// metrics registry once per dimension.
+// The objective's pass counts, the optimizer's rejected trials and the
+// source events d admitted and left out go to the metrics registry once per
+// dimension.
 func (m *Model) optimizeDim(i int, d *dimData, initStep float64, wantNorm bool) float64 {
 	x0 := m.pack(i)
 	lower, upper := m.bounds(i)
@@ -678,7 +721,12 @@ func (m *Model) optimizeDim(i int, d *dimData, initStep float64, wantNorm bool) 
 		reg.Counter("core.mstep_value_passes").Add(int64(obj.valuePasses))
 		reg.Counter("core.mstep_grad_passes").Add(int64(obj.gradPasses))
 		reg.Counter("core.mstep_rejected_trials").Add(int64(res.Rejected))
+		reg.Counter("core.mstep_src_events").Add(int64(len(d.src)))
+		reg.Counter("core.mstep_src_dropped").Add(int64(d.dropped))
 		obj.release()
+		for _, s := range [...][]float64{x0, lower, upper} {
+			scratch.PutFloats(s)
+		}
 	}()
 	res, err := infer.MaximizeProjected(x0, obj.eval, infer.Options{
 		MaxIter: m.cfg.MStepIters,

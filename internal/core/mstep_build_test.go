@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
+	"chassis/internal/branching"
 	"chassis/internal/conformity"
 	"chassis/internal/hawkes"
 	"chassis/internal/kernel"
@@ -12,20 +14,40 @@ import (
 )
 
 // sameDimData compares built dimension data with the reference's, leaving
-// out the pooled backing arrays that only release reads.
+// out the pooled backing arrays that only release reads. An empty pooled
+// slice equals the reference's nil one.
 func sameDimData(got, want *dimData) bool {
 	g := *got
 	g.flat = want.flat
+	g.src, g.inv, g.psi = nilIfEmpty(g.src), nilIfEmpty(g.inv), nilIfEmpty(g.psi)
 	return reflect.DeepEqual(&g, want)
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // refBuildDimData is the oracle for the M-step's one dimension builder
 // (buildDim): it assembles dimension i's fitting structures with one scan of
-// the whole sequence, grid windows included when needGrid.
-func (m *Model) refBuildDimData(seq *timeline.Sequence, conf *conformity.Computer, i int, needGrid bool) *dimData {
+// the whole sequence, grid windows included when needGrid. With prune, a
+// conformity variant's source event is left out when its weight is zero for
+// every Θ, by the rule restated through the Computer's one-shot queries:
+// the informational part is off or Φᵢⱼ(t) = 0 at β = 0 (no interaction or no
+// offspring of i by t) or Ψᵢⱼ(t) = 0, and the normative part is off or
+// αᴺᵢⱼ(t) = 0. Without prune every source event stays: the unpruned data the
+// objective tests run the reference objective on. The stored factors come
+// from Pair.Factors; the reference objective checks them through
+// InformationalGrad.
+func (m *Model) refBuildDimData(seq *timeline.Sequence, conf *conformity.Computer, i int, needGrid, prune bool) *dimData {
 	d := &dimData{i: i, T: seq.Horizon}
 	ker := m.Kernels[i]
 	support := ker.Support()
+	v := m.Variant
+	info := v.ConformityAware && v.UseInformational
+	norm := v.ConformityAware && v.UseNormative
 
 	jIdx := make(map[int32]int32, len(m.params.sources(i)))
 	for idx, j := range m.params.sources(i) {
@@ -40,17 +62,24 @@ func (m *Model) refBuildDimData(seq *timeline.Sequence, conf *conformity.Compute
 		if !ok {
 			continue
 		}
-		e := srcEvent{
-			j: j, jIdx: idx, t: acts[k].Time,
-			kInt: ker.Integral(seq.Horizon - acts[k].Time),
+		t := acts[k].Time
+		e := srcEvent{j: j, jIdx: idx, t: t, kInt: ker.Integral(seq.Horizon - t)}
+		if norm {
+			e.aN = conf.Normative(i, int(j), t)
 		}
-		if m.Variant.ConformityAware && m.Variant.UseNormative {
-			e.aN = conf.Normative(i, int(j), acts[k].Time)
+		zeroI := !info || conf.InfluenceDegree(i, int(j), t, 0) == 0 || conf.ContextStance(i, int(j), t) == 0
+		if prune && v.ConformityAware && zeroI && e.aN == 0 {
+			d.dropped++
+			continue
+		}
+		if info {
+			inv, psi := conf.Pair(i, int(j)).Factors(t)
+			d.inv, d.psi = append(d.inv, inv), append(d.psi, psi)
 		}
 		srcOf[k] = int32(len(d.src))
 		d.src = append(d.src, e)
 	}
-	if m.Variant.ConformityAware {
+	if v.ConformityAware {
 		for _, j := range m.params.sources(i) {
 			d.pairs = append(d.pairs, conf.Pair(i, j))
 		}
@@ -118,9 +147,10 @@ func (m *Model) refBuildDimData(seq *timeline.Sequence, conf *conformity.Compute
 // TestBatchBuilderMatchesPerDim pins the M-step's dimension builder to the
 // per-dimension reference: for every dimension of every variant, the
 // assembled dimData — plus its Euler grid for the nonlinear links — must be
-// deep-equal: same source events (times, kInt, aN), same target and grid
-// windows, same kernel evaluations in the same order. This is the
-// load-bearing equivalence behind the M-step of both drivers.
+// deep-equal: same source events (times, kInt, aN, factors), the same
+// structurally zero events left out, same target and grid windows, same
+// kernel evaluations in the same order. This is the load-bearing
+// equivalence behind the M-step of both drivers.
 func TestBatchBuilderMatchesPerDim(t *testing.T) {
 	for _, v := range []Variant{VariantLHP, VariantL, VariantLI, VariantLN, VariantEHP, VariantE, VariantEI, VariantEN} {
 		t.Run(v.Name(), func(t *testing.T) {
@@ -131,31 +161,162 @@ func TestBatchBuilderMatchesPerDim(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, linear := m.link.(hawkes.LinearLink)
-			// Rebuild the conformity state against the fitted forest, the
-			// same inputs the fit's own M-steps saw.
+			// Build the conformity state on the generator's forest: the
+			// fitted one leaves the CHASSIS-E variants no pair with
+			// conformity on this corpus, so every source event would be
+			// left out and no window would be compared.
 			work := d.Seq.StripParents()
 			var conf *conformity.Computer
 			if v.ConformityAware {
-				conf, err = conformity.New(work, m.Forest, cfg.Conformity)
+				forest, err := branching.FromSequence(d.Seq)
 				if err != nil {
+					t.Fatal(err)
+				}
+				if conf, err = conformity.New(work, forest, cfg.Conformity); err != nil {
 					t.Fatal(err)
 				}
 			}
 			cols := seqColumns(work)
-			gridEntries := 0
+			gridEntries, kept, dropped := 0, 0, 0
 			for i := 0; i < m.M; i++ {
 				got := m.buildDim(cols, conf, i)
 				for _, win := range got.grid {
 					gridEntries += len(win)
 				}
-				if want := m.refBuildDimData(work, conf, i, !linear); !sameDimData(got, want) {
+				kept += len(got.src)
+				dropped += got.dropped
+				if want := m.refBuildDimData(work, conf, i, !linear, true); !sameDimData(got, want) {
 					t.Fatalf("dim %d dimData diverges\n got %+v\nwant %+v", i, got, want)
 				}
 			}
 			if !linear && gridEntries == 0 {
 				t.Fatal("no grid window holds an entry")
 			}
+			if kept == 0 || v.ConformityAware != (dropped > 0) {
+				t.Fatalf("%d source events kept and %d dropped", kept, dropped)
+			}
 		})
+	}
+}
+
+// TestBuildDimDropsStructurallyZeroTerms pins the structural-zero rule on a
+// hand-built cascade for receiver 0 with sources 1, 2 and 3:
+//
+//	t=10 user 1 (+0.5), root        t=45 user 3, root
+//	t=15 user 3, root               t=50 user 1 (+0.5), root
+//	t=20 user 0 (0), child of t=10  t=60 user 2 (+0.5), root
+//	t=30 user 2 (+0.5), child of 10 t=70 user 0 (+0.5), root
+//	t=40 user 0 (+0.5), child of 30
+//
+// Pair (0, 3) has no samples, so user 3 loses every event. Pair (0, 1)'s
+// first sample is at t=20 and pair (0, 2)'s at t=40, so the source events at
+// t=10 and t=30 come before them and are dropped. At t=50, Ψ₀₁ is 0 (its one
+// informational sample has a zero polarity) while αᴺ₀₁ is 0.5 (the t=40
+// grandchild adds an agreeing normative sample), so the event stays unless
+// the variant reads only the informational part. The CHASSIS-E variants'
+// grid windows, like every variant's target windows, are the unpruned
+// reference's windows with the dropped events taken out.
+func TestBuildDimDropsStructurallyZeroTerms(t *testing.T) {
+	acts := []timeline.Activity{
+		{User: 1, Time: 10, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 3, Time: 15, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 0, Time: 20, Polarity: 0, Parent: 0},
+		{User: 2, Time: 30, Polarity: 0.5, Parent: 0},
+		{User: 0, Time: 40, Polarity: 0.5, Parent: 3},
+		{User: 3, Time: 45, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 1, Time: 50, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 2, Time: 60, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 0, Time: 70, Polarity: 0.5, Parent: timeline.NoParent},
+	}
+	for k := range acts {
+		acts[k].ID = timeline.ActivityID(k)
+	}
+	seq := &timeline.Sequence{M: 4, Horizon: 80, Activities: acts}
+	forest, err := branching.FromSequence(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf, err := conformity.New(seq, forest, conformity.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := make([]float64, 11)
+	for k := range ones {
+		ones[k] = 1
+	}
+	ker, err := kernel.NewDiscrete(10, ones) // φ = 1 on [0, 100]
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := seqColumns(seq)
+	for _, c := range []struct {
+		v    Variant
+		kept []float64 // the source event times left in d.src
+	}{
+		{VariantL, []float64{50, 60}},
+		{VariantLI, []float64{60}},
+		{VariantLN, []float64{50, 60}},
+		{VariantE, []float64{50, 60}},
+		{VariantEI, []float64{60}},
+		{VariantEN, []float64{50, 60}},
+	} {
+		link, _ := c.v.Link()
+		_, linear := link.(hawkes.LinearLink)
+		m := &Model{
+			M: 4, Variant: c.v, Horizon: 80,
+			Kernels: []kernel.Kernel{ker, ker, ker, ker},
+			cfg:     Config{IntegrationGrid: 8},
+			link:    link,
+		}
+		setParams(m, [][]int{{1, 2, 3}, nil, nil, nil}, func(i, j int) (float64, float64, float64, float64) { return 0, 0.1, 0.1, 0.5 })
+		got := m.buildDim(cols, conf, 0)
+		if want := m.refBuildDimData(seq, conf, 0, !linear, true); !sameDimData(got, want) {
+			t.Fatalf("%s diverges from the reference\n got %+v\nwant %+v", c.v.Name(), got, want)
+		}
+		var times []float64
+		for _, e := range got.src {
+			times = append(times, e.t)
+		}
+		if !reflect.DeepEqual(times, c.kept) || got.dropped != 6-len(c.kept) {
+			t.Fatalf("%s keeps source events at %v and drops %d; want %v and %d", c.v.Name(), times, got.dropped, c.kept, 6-len(c.kept))
+		}
+		if c.v.UseInformational && c.v.UseNormative && (got.psi[0] != 0 || got.src[0].aN != 0.5) {
+			t.Fatalf("%s: the t=50 event has Ψ %v and αᴺ %v; want 0 and 0.5", c.v.Name(), got.psi[0], got.src[0].aN)
+		}
+		// The unpruned reference's windows with the dropped events taken
+		// out, re-indexed into the pruned d.src.
+		full := m.refBuildDimData(seq, conf, 0, !linear, false)
+		idx := map[int32]int32{}
+		for e, fe := range full.src {
+			if k := slices.Index(c.kept, fe.t); k >= 0 {
+				idx[int32(e)] = int32(k)
+			}
+		}
+		prune := func(wins [][]winEntry) [][]winEntry {
+			out := make([][]winEntry, len(wins))
+			for w, win := range wins {
+				for _, en := range win {
+					if k, ok := idx[en.src]; ok {
+						out[w] = append(out[w], winEntry{src: k, phi: en.phi})
+					}
+				}
+			}
+			return out
+		}
+		wantTargets := prune(full.targets)
+		if !reflect.DeepEqual(got.targets, wantTargets) {
+			t.Fatalf("%s: targets %v; want %v", c.v.Name(), got.targets, wantTargets)
+		}
+		if linear {
+			continue
+		}
+		wantGrid, lost := prune(full.grid), 0
+		for w := range full.grid {
+			lost += len(full.grid[w]) - len(wantGrid[w])
+		}
+		if !reflect.DeepEqual(got.grid, wantGrid) || lost == 0 {
+			t.Fatalf("%s: grid %v; want %v (%d entries dropped)", c.v.Name(), got.grid, wantGrid, lost)
+		}
 	}
 }
 
@@ -203,7 +364,7 @@ func TestGridWindowsOnGridPoints(t *testing.T) {
 	cols := seqColumns(seq)
 	for i := 0; i < m.M; i++ {
 		got := m.buildDim(cols, nil, i)
-		if ref := m.refBuildDimData(seq, nil, i, true); !sameDimData(got, ref) {
+		if ref := m.refBuildDimData(seq, nil, i, true, true); !sameDimData(got, ref) {
 			t.Fatalf("dim %d diverges from the reference\n got %+v\nwant %+v", i, got, ref)
 		}
 		if got.gridH != 10 || !reflect.DeepEqual(got.grid, want) {
@@ -236,7 +397,7 @@ func TestBatchedMStepMatchesPerDimOptimizer(t *testing.T) {
 				snap := m.snapshotState(nil)
 				defer m.restoreState(snap)
 				for i := 0; i < m.M; i++ {
-					dd := m.refBuildDimData(work, nil, i, !linear)
+					dd := m.refBuildDimData(work, nil, i, !linear, true)
 					m.optimizeDim(i, dd, 0.05, false)
 				}
 				return paramsCopy(m)

@@ -112,15 +112,17 @@ func TestObservedFitBitIdenticalToUnobserved(t *testing.T) {
 }
 
 // TestMStepPassCountsAcrossWorkers pins the M-step's work counters: the
-// value passes, gradient passes and rejected trials a fit reports are the
-// same at Workers 1 and 8, and each is nonzero.
+// value passes, gradient passes, rejected trials and admitted and dropped
+// source events a fit reports are the same at Workers 1, 2 and 8. Each is
+// nonzero, except that an HP fit drops no source event.
 func TestMStepPassCountsAcrossWorkers(t *testing.T) {
 	forceSmallChunks(t, 48)
 	d := smallDataset(t, 91)
-	names := []string{"core.mstep_value_passes", "core.mstep_grad_passes", "core.mstep_rejected_trials"}
+	names := []string{"core.mstep_value_passes", "core.mstep_grad_passes", "core.mstep_rejected_trials",
+		"core.mstep_src_events", "core.mstep_src_dropped"}
 	for _, v := range []Variant{VariantLHP, VariantL} {
 		var want []int64
-		for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 2, 8} {
 			cfg := quickCfg(v)
 			cfg.EMIters = 3
 			cfg.Workers = workers
@@ -135,7 +137,8 @@ func TestMStepPassCountsAcrossWorkers(t *testing.T) {
 			if want == nil {
 				want = got
 				for k, n := range got {
-					if n <= 0 {
+					wantZero := names[k] == "core.mstep_src_dropped" && !v.ConformityAware
+					if n < 0 || (n == 0) != wantZero {
 						t.Fatalf("%s: %s = %d", v.Name(), names[k], n)
 					}
 				}

@@ -219,7 +219,7 @@ func FitSharded(ctx context.Context, rd *colstore.Reader, cfg Config, opts ...Op
 	if err != nil {
 		return nil, err
 	}
-	return fit(ctx, src, cfg, nil)
+	return fit(ctx, src, cfg, nil, nil)
 }
 
 // Fingerprint digests the fitted state — μ, the parameters on the active
