@@ -210,7 +210,7 @@ func (b *builder) collectNormative(events []int32) error {
 		if total > b.opts.MaxTreePairs {
 			stride = (total + b.opts.MaxTreePairs - 1) / b.opts.MaxTreePairs
 		}
-		count := 0
+		next := stride // cross-path pairs up to and including the next kept one
 		for bi := 1; bi < n; bi++ {
 			e2 := int(nodes[bi])
 			stamp := int32(e2) + 1
@@ -246,11 +246,11 @@ func (b *builder) collectNormative(events []int32) error {
 					// ancestor pairs always survive (they carry the direct
 					// chain-of-influence signal). The count runs over every
 					// pair, kept or not, so the subsample does not depend on
-					// the read set.
-					count++
-					if stride > 1 && count%stride != 0 {
+					// the read set: it keeps every stride-th one.
+					if next--; next > 0 {
 						continue
 					}
+					next = stride
 				}
 				if mark != nil && mark[b.users[e1]] != stamp {
 					continue

@@ -704,6 +704,16 @@ func FuzzObjective(f *testing.F) {
 		[]byte{1, 32, 192, 0, 3, 48, 192, 0, 0, 64, 128, 64, 2, 96, 192, 66, 0, 128, 192, 67, 3, 144, 192, 0, 1, 160, 192, 0, 2, 192, 192, 0, 0, 224, 192, 0},
 		[]byte{160, 40, 220, 0},
 		[]byte{3, 0, 4, 5, 1, 0, 5, 2, 6, 1, 1, 0, 3, 0, 4, 200, 1, 0})
+	// The same dimension, whose x is μ then (γᴵ, β, γᴺ) for slots 0-2, slot 1
+	// holding the event with Ψ = 1: slot 1's β moves twice in a row, then its
+	// γᴵ, then only μ, then its β turns NaN, then its γᴵ too, then both come
+	// back, each move followed by a gradient call, so the per-slot refresh
+	// re-sweeps and re-weights from state a previous move left, NaN αᴵ
+	// times NaN γᴵ included.
+	f.Add(uint8(2), uint8(3), uint8(79), uint8(63), uint8(0),
+		[]byte{1, 32, 192, 0, 3, 48, 192, 0, 0, 64, 128, 64, 2, 96, 192, 66, 0, 128, 192, 67, 3, 144, 192, 0, 1, 160, 192, 0, 2, 192, 192, 0, 0, 224, 192, 0},
+		[]byte{160, 40, 220, 0},
+		[]byte{4, 105, 1, 0, 4, 125, 1, 0, 4, 114, 1, 0, 4, 100, 1, 0, 6, 5, 1, 0, 6, 4, 1, 0, 4, 125, 1, 0, 4, 114, 1, 0})
 	f.Fuzz(func(t *testing.T, variant, users, hz, support, dim uint8, data, rows, calls []byte) {
 		if len(data) > 4*200 {
 			data = data[:4*200]

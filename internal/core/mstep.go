@@ -156,6 +156,13 @@ func (m *Model) bounds(i int) (lower, upper []float64) {
 // dimension, which leaves the value pass only the decay recursion, and
 // leaves out every source event whose weight is structurally zero.
 //
+// The refresh is per source slot, since slot s's weights read only s's
+// coordinates: a slot none of whose γᴵ, β, γᴺ moved since the last value
+// pass, bit for bit, keeps its stored weights, a slot whose γs moved is
+// re-weighted from its stored αᴵ, and only a slot whose β moved reruns its
+// decay sweep. After every value pass the stored state is what a refresh of
+// every slot at o.x would write (DESIGN.md §7, "Per-slot refresh").
+//
 // The value and each gradient component are independent sums, each added
 // in the order one fused value-and-gradient pass would add it, so every
 // evaluation is bit-identical to that pass (TestObjectiveMatchesReference;
@@ -169,11 +176,12 @@ type dimObjective struct {
 	slot []int32 // HP: the packed index of source event e's α
 
 	// Conformity-aware variants, per source event: the weight, αᴵ and
-	// ∂αᴵ/∂β at the current β and the linear-link zero-clamp mask; and one
-	// decay cursor per source slot.
-	w, aI, daI []float64
-	clamped    []bool
-	curs       []conformity.DecayCursor
+	// ∂αᴵ/∂β at the last value pass's point and the linear-link zero-clamp
+	// mask; and the slot index: slot s's source events, in chronological
+	// order, are bySlot[slotOff[s]:slotOff[s+1]].
+	w, aI, daI      []float64
+	clamped         []bool
+	bySlot, slotOff []int32
 
 	g   []float64 // pre-link sum per target window, then per grid point
 	lam []float64 // floored λ per target window
@@ -183,18 +191,19 @@ type dimObjective struct {
 	valid       bool      // x and value hold a pass
 	valuePasses int
 	gradPasses  int
+	refreshes   int // slots re-weighted by the value passes
+	sweeps      int // slots whose decay sweep the value passes reran
 
 	floats []float64 // pooled backing array of every float slice above
+	ints   []int32   // pooled backing array of slot, or of bySlot and slotOff
 }
 
 var (
 	// objectivePool recycles the objectives themselves; release clears one
 	// before handing it back.
 	objectivePool = sync.Pool{New: func() any { return new(dimObjective) }}
-	// clampPool and cursorPool recycle the conformity objectives' clamp
-	// masks and decay cursors.
-	clampPool  scratch.Pool[bool]
-	cursorPool scratch.Pool[conformity.DecayCursor]
+	// clampPool recycles the conformity objectives' clamp masks.
+	clampPool scratch.Pool[bool]
 )
 
 // objective builds dimension d.i's objective. It and its per-dimension
@@ -220,7 +229,8 @@ func (m *Model) objective(d *dimData) *dimObjective {
 	o.g = carve(len(d.targets) + len(d.grid))
 	o.lam = carve(len(d.targets))
 	if !l.conformityAware {
-		o.slot = slotPool.Get(len(d.src))
+		o.ints = slotPool.Get(len(d.src))
+		o.slot = o.ints
 		for e := range d.src {
 			o.slot[e] = int32(l.alphaIdx(int(d.src[e].jIdx)))
 		}
@@ -228,8 +238,24 @@ func (m *Model) objective(d *dimData) *dimObjective {
 	}
 	o.w, o.aI, o.daI = carve(nSrc), carve(nSrc), carve(nSrc)
 	o.clamped = clampPool.Get(nSrc)
-	if l.useInformational {
-		o.curs = cursorPool.Get(len(d.pairs))
+	// The slot index, by counting: slotOff[s] first counts slot s's events,
+	// then marks the end of its run, and the events, placed backwards,
+	// move it down to the run's start.
+	slots := len(m.params.sources(d.i))
+	o.ints = slotPool.Get(nSrc + slots + 1)
+	o.bySlot, o.slotOff = o.ints[:nSrc], o.ints[nSrc:]
+	for e := range d.src {
+		o.slotOff[d.src[e].jIdx]++
+	}
+	var end int32
+	for s := range o.slotOff {
+		end += o.slotOff[s]
+		o.slotOff[s] = end
+	}
+	for e := len(d.src) - 1; e >= 0; e-- {
+		s := d.src[e].jIdx
+		o.slotOff[s]--
+		o.bySlot[o.slotOff[s]] = int32(e)
 	}
 	return o
 }
@@ -239,9 +265,7 @@ func (m *Model) objective(d *dimData) *dimObjective {
 func (o *dimObjective) release() {
 	scratch.PutFloats(o.floats)
 	clampPool.Put(o.clamped)
-	slotPool.Put(o.slot)
-	clear(o.curs) // a pooled cursor must not keep the snapshot alive
-	cursorPool.Put(o.curs)
+	slotPool.Put(o.ints)
 	*o = dimObjective{}
 	objectivePool.Put(o)
 }
@@ -353,38 +377,21 @@ func (o *dimObjective) staticGradient(grad []float64) {
 }
 
 // conformityValue is the conformity-aware value pass: it refreshes the
-// per-source-event weights under x, then sums the terms.
+// weights of the source slots whose coordinates moved, then sums the terms.
+// The first pass of an objective refreshes every slot with a kept event.
 func (o *dimObjective) conformityValue(x []float64) float64 {
 	d, l, link, w := o.d, o.l, o.m.link, o.w
 	mu := x[0]
-	if l.useInformational {
-		// One monotone decay cursor per source slot: β is fixed for the
-		// whole pass and d.src is chronological, so each pair's interaction
-		// history is consumed once per pass. The cursor's state does not
-		// depend on where queries fall, so αᴵ is bit-identical to
-		// InformationalGrad at every source event.
-		for s := range o.curs {
-			o.curs[s] = d.pairs[s].Decay(x[l.betaIdx(s)])
+	for s := range len(o.slotOff) - 1 {
+		evs := o.bySlot[o.slotOff[s]:o.slotOff[s+1]]
+		if len(evs) == 0 {
+			continue
 		}
-	}
-	for idx := range d.src {
-		e := &d.src[idx]
-		var wt float64
-		if l.useInformational {
-			ai, dai := o.curs[e.jIdx].Informational(e.t, d.inv[idx], d.psi[idx])
-			o.aI[idx], o.daI[idx] = ai, dai
-			wt += x[l.gammaIIdx(int(e.jIdx))] * ai
+		sweep := l.useInformational && o.moved(x, l.betaIdx(s))
+		if sweep || (l.useInformational && o.moved(x, l.gammaIIdx(s))) ||
+			(l.useNormative && o.moved(x, l.gammaNIdx(s))) {
+			o.refresh(x, s, evs, sweep)
 		}
-		if l.useNormative {
-			wt += x[l.gammaNIdx(int(e.jIdx))] * e.aN
-		}
-		// Mirror excitation.Alpha: linear-link clamp with zero subgradient
-		// while clamped.
-		o.clamped[idx] = o.linear && wt < 0
-		if o.clamped[idx] {
-			wt = 0
-		}
-		w[idx] = wt
 	}
 	var value float64
 
@@ -420,6 +427,49 @@ func (o *dimObjective) conformityValue(x []float64) float64 {
 		value -= d.gridH * link.Apply(g)
 	}
 	return value
+}
+
+// moved reports whether x[p] differs, bit for bit, from the last value
+// pass's point, or no value pass ran yet.
+func (o *dimObjective) moved(x []float64, p int) bool {
+	return !o.valid || math.Float64bits(x[p]) != math.Float64bits(o.x[p])
+}
+
+// refresh re-weights source slot s's events evs under x. With sweep it first
+// recomputes their αᴵ and ∂αᴵ/∂β at the slot's β, in one monotone decay
+// sweep: a cursor's answers depend only on β, the pair's samples and the
+// query times, so they are bit-identical to InformationalGrad at every
+// event, whichever slots and passes ran before.
+func (o *dimObjective) refresh(x []float64, s int, evs []int32, sweep bool) {
+	d, l := o.d, o.l
+	o.refreshes++
+	if sweep {
+		o.sweeps++
+		cur := d.pairs[s].Decay(x[l.betaIdx(s)])
+		for _, e := range evs {
+			o.aI[e], o.daI[e] = cur.Informational(d.src[e].t, d.inv[e], d.psi[e])
+		}
+	}
+	for _, e := range evs {
+		var wt float64
+		if l.useInformational {
+			// αᴵ first: where αᴵ and γᴵ are both NaN, the product keeps the
+			// NaN of the operand the compiler holds in a register, and this
+			// order makes it αᴵ, as for an αᴵ fresh from a cursor (the
+			// reference tests compare NaNs bit for bit).
+			wt += o.aI[e] * x[l.gammaIIdx(s)]
+		}
+		if l.useNormative {
+			wt += x[l.gammaNIdx(s)] * d.src[e].aN
+		}
+		// Mirror excitation.Alpha: linear-link clamp with zero subgradient
+		// while clamped.
+		o.clamped[e] = o.linear && wt < 0
+		if o.clamped[e] {
+			wt = 0
+		}
+		o.w[e] = wt
+	}
 }
 
 // conformityGradient is the conformity-aware gradient pass at the last value
@@ -708,9 +758,9 @@ func (m *Model) buildGrid(d *dimData) {
 // pack, box bounds, projected-gradient ascent, damped blend, fault-injection
 // hook, unpack. Returns the measured projected-gradient norm when wantNorm
 // (NaN when the optimizer failed and the dimension kept its parameters).
-// The objective's pass counts, the optimizer's rejected trials and the
-// source events d admitted and left out go to the metrics registry once per
-// dimension.
+// The objective's pass counts, slot refreshes and decay sweeps, the
+// optimizer's rejected trials and the source events d admitted and left out
+// go to the metrics registry once per dimension.
 func (m *Model) optimizeDim(i int, d *dimData, initStep float64, wantNorm bool) float64 {
 	x0 := m.pack(i)
 	lower, upper := m.bounds(i)
@@ -723,6 +773,8 @@ func (m *Model) optimizeDim(i int, d *dimData, initStep float64, wantNorm bool) 
 		reg.Counter("core.mstep_rejected_trials").Add(int64(res.Rejected))
 		reg.Counter("core.mstep_src_events").Add(int64(len(d.src)))
 		reg.Counter("core.mstep_src_dropped").Add(int64(d.dropped))
+		reg.Counter("core.mstep_slot_refreshes").Add(int64(obj.refreshes))
+		reg.Counter("core.mstep_decay_sweeps").Add(int64(obj.sweeps))
 		obj.release()
 		for _, s := range [...][]float64{x0, lower, upper} {
 			scratch.PutFloats(s)

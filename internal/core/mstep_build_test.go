@@ -217,37 +217,7 @@ func TestBatchBuilderMatchesPerDim(t *testing.T) {
 // grid windows, like every variant's target windows, are the unpruned
 // reference's windows with the dropped events taken out.
 func TestBuildDimDropsStructurallyZeroTerms(t *testing.T) {
-	acts := []timeline.Activity{
-		{User: 1, Time: 10, Polarity: 0.5, Parent: timeline.NoParent},
-		{User: 3, Time: 15, Polarity: 0.5, Parent: timeline.NoParent},
-		{User: 0, Time: 20, Polarity: 0, Parent: 0},
-		{User: 2, Time: 30, Polarity: 0.5, Parent: 0},
-		{User: 0, Time: 40, Polarity: 0.5, Parent: 3},
-		{User: 3, Time: 45, Polarity: 0.5, Parent: timeline.NoParent},
-		{User: 1, Time: 50, Polarity: 0.5, Parent: timeline.NoParent},
-		{User: 2, Time: 60, Polarity: 0.5, Parent: timeline.NoParent},
-		{User: 0, Time: 70, Polarity: 0.5, Parent: timeline.NoParent},
-	}
-	for k := range acts {
-		acts[k].ID = timeline.ActivityID(k)
-	}
-	seq := &timeline.Sequence{M: 4, Horizon: 80, Activities: acts}
-	forest, err := branching.FromSequence(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf, err := conformity.New(seq, forest, conformity.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones := make([]float64, 11)
-	for k := range ones {
-		ones[k] = 1
-	}
-	ker, err := kernel.NewDiscrete(10, ones) // φ = 1 on [0, 100]
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, conf, ker := zeroTermsCascade(t)
 	cols := seqColumns(seq)
 	for _, c := range []struct {
 		v    Variant
@@ -262,13 +232,7 @@ func TestBuildDimDropsStructurallyZeroTerms(t *testing.T) {
 	} {
 		link, _ := c.v.Link()
 		_, linear := link.(hawkes.LinearLink)
-		m := &Model{
-			M: 4, Variant: c.v, Horizon: 80,
-			Kernels: []kernel.Kernel{ker, ker, ker, ker},
-			cfg:     Config{IntegrationGrid: 8},
-			link:    link,
-		}
-		setParams(m, [][]int{{1, 2, 3}, nil, nil, nil}, func(i, j int) (float64, float64, float64, float64) { return 0, 0.1, 0.1, 0.5 })
+		m := zeroTermsModel(c.v, ker)
 		got := m.buildDim(cols, conf, 0)
 		if want := m.refBuildDimData(seq, conf, 0, !linear, true); !sameDimData(got, want) {
 			t.Fatalf("%s diverges from the reference\n got %+v\nwant %+v", c.v.Name(), got, want)
@@ -316,6 +280,108 @@ func TestBuildDimDropsStructurallyZeroTerms(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.grid, wantGrid) || lost == 0 {
 			t.Fatalf("%s: grid %v; want %v (%d entries dropped)", c.v.Name(), got.grid, wantGrid, lost)
+		}
+	}
+}
+
+// zeroTermsCascade is TestBuildDimDropsStructurallyZeroTerms's cascade, its
+// conformity snapshot, and a kernel with φ = 1 on [0, 100].
+func zeroTermsCascade(t *testing.T) (*timeline.Sequence, *conformity.Computer, kernel.Kernel) {
+	t.Helper()
+	acts := []timeline.Activity{
+		{User: 1, Time: 10, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 3, Time: 15, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 0, Time: 20, Polarity: 0, Parent: 0},
+		{User: 2, Time: 30, Polarity: 0.5, Parent: 0},
+		{User: 0, Time: 40, Polarity: 0.5, Parent: 3},
+		{User: 3, Time: 45, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 1, Time: 50, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 2, Time: 60, Polarity: 0.5, Parent: timeline.NoParent},
+		{User: 0, Time: 70, Polarity: 0.5, Parent: timeline.NoParent},
+	}
+	for k := range acts {
+		acts[k].ID = timeline.ActivityID(k)
+	}
+	seq := &timeline.Sequence{M: 4, Horizon: 80, Activities: acts}
+	forest, err := branching.FromSequence(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf, err := conformity.New(seq, forest, conformity.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := make([]float64, 11)
+	for k := range ones {
+		ones[k] = 1
+	}
+	ker, err := kernel.NewDiscrete(10, ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq, conf, ker
+}
+
+// zeroTermsModel is a model of variant v on zeroTermsCascade: receiver 0
+// has sources 1, 2 and 3, each with γᴵ = γᴺ = 0.1 and β = 0.5, and every μ
+// is 0.01.
+func zeroTermsModel(v Variant, ker kernel.Kernel) *Model {
+	link, _ := v.Link()
+	m := &Model{
+		M: 4, Variant: v, Horizon: 80,
+		Mu:      []float64{0.01, 0.01, 0.01, 0.01},
+		Kernels: []kernel.Kernel{ker, ker, ker, ker},
+		cfg:     Config{IntegrationGrid: 8},
+		link:    link,
+	}
+	setParams(m, [][]int{{1, 2, 3}, nil, nil, nil}, func(i, j int) (float64, float64, float64, float64) { return 0, 0.1, 0.1, 0.5 })
+	return m
+}
+
+// TestValuePassRefreshesOnlyMovedSlots pins the per-slot refresh on
+// receiver 0 of zeroTermsCascade under CHASSIS-L: slot 0 (user 1) and slot 1
+// (user 2) keep one source event each, slot 2 (user 3) keeps none. The
+// first value pass refreshes and sweeps both kept slots; moving μ refreshes
+// nothing, moving a γᴺ re-weights that slot without a sweep, moving a β or
+// a γᴵ refreshes that slot and sweeps only for β, and no move of slot 2
+// touches it. Every call matches the reference objective bit for bit.
+func TestValuePassRefreshesOnlyMovedSlots(t *testing.T) {
+	seq, conf, ker := zeroTermsCascade(t)
+	m := zeroTermsModel(VariantL, ker)
+	d := m.buildDim(seqColumns(seq), conf, 0)
+	defer d.release()
+	o := m.objective(d)
+	defer o.release()
+	ref := m.refObjective(d, conf)
+	l := m.layout()
+	x := m.pack(0)
+	steps := []struct {
+		name              string
+		p                 int // the coordinate moved, -1 for none
+		refreshes, sweeps int // counted by the call
+	}{
+		{"first pass", -1, 2, 2},
+		{"μ", 0, 0, 0},
+		{"slot 1's γᴺ", l.gammaNIdx(1), 1, 0},
+		{"slot 0's β", l.betaIdx(0), 1, 1},
+		{"slot 0's β again", l.betaIdx(0), 1, 1},
+		{"slot 1's γᴵ", l.gammaIIdx(1), 1, 0},
+		{"slot 2's β", l.betaIdx(2), 0, 0},
+		{"slot 2's γᴵ", l.gammaIIdx(2), 0, 0},
+		{"slot 2's γᴺ", l.gammaNIdx(2), 0, 0},
+		{"slot 1's β", l.betaIdx(1), 1, 1},
+	}
+	for _, st := range steps {
+		if st.p >= 0 {
+			x = slices.Clone(x)
+			x[st.p] += 0.25
+		}
+		refreshes, sweeps := o.refreshes, o.sweeps
+		if err := sameCallBits(o.eval, ref, ref, []objCall{{x, true}}); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if got, want := [2]int{o.refreshes - refreshes, o.sweeps - sweeps}, [2]int{st.refreshes, st.sweeps}; got != want {
+			t.Fatalf("moving %s refreshed and swept %v slots; want %v", st.name, got, want)
 		}
 	}
 }

@@ -112,14 +112,16 @@ func TestObservedFitBitIdenticalToUnobserved(t *testing.T) {
 }
 
 // TestMStepPassCountsAcrossWorkers pins the M-step's work counters: the
-// value passes, gradient passes, rejected trials and admitted and dropped
-// source events a fit reports are the same at Workers 1, 2 and 8. Each is
-// nonzero, except that an HP fit drops no source event.
+// value passes, gradient passes, rejected trials, admitted and dropped
+// source events, slot refreshes and decay sweeps a fit reports are the same
+// at Workers 1, 2 and 8. Each is nonzero, except that an HP fit drops no
+// source event and refreshes no conformity slot.
 func TestMStepPassCountsAcrossWorkers(t *testing.T) {
 	forceSmallChunks(t, 48)
 	d := smallDataset(t, 91)
 	names := []string{"core.mstep_value_passes", "core.mstep_grad_passes", "core.mstep_rejected_trials",
-		"core.mstep_src_events", "core.mstep_src_dropped"}
+		"core.mstep_src_events", "core.mstep_src_dropped", "core.mstep_slot_refreshes", "core.mstep_decay_sweeps"}
+	hpZero := map[string]bool{"core.mstep_src_dropped": true, "core.mstep_slot_refreshes": true, "core.mstep_decay_sweeps": true}
 	for _, v := range []Variant{VariantLHP, VariantL} {
 		var want []int64
 		for _, workers := range []int{1, 2, 8} {
@@ -137,7 +139,7 @@ func TestMStepPassCountsAcrossWorkers(t *testing.T) {
 			if want == nil {
 				want = got
 				for k, n := range got {
-					wantZero := names[k] == "core.mstep_src_dropped" && !v.ConformityAware
+					wantZero := hpZero[names[k]] && !v.ConformityAware
 					if n < 0 || (n == 0) != wantZero {
 						t.Fatalf("%s: %s = %d", v.Name(), names[k], n)
 					}

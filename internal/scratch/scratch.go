@@ -18,8 +18,14 @@ import "sync"
 
 // Pool is a typed free list of slices. The zero value is ready to use and
 // safe for concurrent Get/Put.
+//
+// A sync.Pool holds pointers, so each pooled slice sits in a box, a *[]T.
+// Get hands the box it emptied to a second pool, from which Put takes the
+// box for the next slice, so a Get/Put round trip allocates nothing once
+// the pools are warm.
 type Pool[T any] struct {
-	p sync.Pool
+	p     sync.Pool // boxes holding a slice
+	boxes sync.Pool // empty boxes
 }
 
 // Get returns a slice of length n, zeroed. When a pooled buffer with enough
@@ -28,7 +34,10 @@ type Pool[T any] struct {
 // the shape append-style callers want.
 func (sp *Pool[T]) Get(n int) []T {
 	if v := sp.p.Get(); v != nil {
-		s := *(v.(*[]T))
+		box := v.(*[]T)
+		s := *box
+		*box = nil // an empty box must not keep the slice alive
+		sp.boxes.Put(box)
 		if cap(s) >= n {
 			s = s[:n]
 			var zero T
@@ -47,8 +56,12 @@ func (sp *Pool[T]) Put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	sp.p.Put(&s)
+	box, _ := sp.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	sp.p.Put(box)
 }
 
 var (

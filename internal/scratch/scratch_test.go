@@ -85,3 +85,16 @@ func TestConcurrentGetPut(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRoundTripAllocatesNothing: once a pool is warm, a Get/Put round trip
+// reuses both the slice and the box that holds it in the pool.
+func TestRoundTripAllocatesNothing(t *testing.T) {
+	var p Pool[float64]
+	p.Put(p.Get(64))
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Put(p.Get(64))
+	})
+	if allocs != 0 {
+		t.Fatalf("a Get(64)/Put round trip allocates %v times on average, want 0", allocs)
+	}
+}
